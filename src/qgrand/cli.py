@@ -10,6 +10,8 @@ clock or the OS.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from typing import Callable
 
@@ -28,15 +30,37 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, like every other usage error
+        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+
+
+def _int_at_least(minimum: int, name: str) -> Callable[[str], int]:
+    """Integer parser for flags (argparse `type=`) and spec fields; raises ValueError."""
+
+    def convert(text: str) -> int:
+        if int(text) < minimum:
+            raise ValueError(text)
+        return int(text)
+
+    convert.__name__ = name  # argparse reports "invalid <name> value: ..."
+    return convert
+
+
+_nonnegative = _int_at_least(0, "non-negative integer")
+_positive = _int_at_least(1, "positive integer")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgrand",
         description="Quasigroup stream generator, KISS baseline, and randomness battery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-square", help="write a pseudorandom Latin square file")
-    p.add_argument("order", type=int, help="square order (>= 2)")
+    p.add_argument("order", type=_int_at_least(2, "order (>= 2)"), help="square order (>= 2)")
     p.add_argument("--seed", type=int, default=1, help="64-bit construction seed (default 1)")
     p.add_argument("--out", required=True, help="output path (text format)")
 
@@ -46,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a stream from a square file")
     p.add_argument("square", help="square file (text format)")
     shift = p.add_mutually_exclusive_group(required=True)
-    shift.add_argument("--shift-const", type=int, metavar="K",
+    shift.add_argument("--shift-const", type=_nonnegative, metavar="K",
                        help="fixed right-rotation amount")
-    shift.add_argument("--shift-var", type=int, nargs=2, metavar=("X", "Y"),
+    shift.add_argument("--shift-var", type=_positive, nargs=2, metavar=("X", "Y"),
                        help="rotation read from cell (X,Y) each cycle, 1-based")
-    p.add_argument("--length", type=int, required=True,
+    p.add_argument("--length", type=_nonnegative, required=True,
                    help="output length (bytes, or symbol count with --format symbols)")
     p.add_argument("--format", choices=("bytes", "symbols", "hex"), default="bytes",
                    help="bytes = raw, symbols = 1-based decimals, hex = lowercase pairs (default bytes)")
@@ -62,10 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="file of raw bytes to test")
     p.add_argument("--self-gen", metavar="SPEC",
                    help="generator spec to test instead of a file (see compare --help)")
-    p.add_argument("--length", type=int, default=10_000_000,
+    p.add_argument("--length", type=_nonnegative, default=10_000_000,
                    help="bytes to generate with --self-gen (default 10000000)")
-    p.add_argument("--n-matrices", type=int, help="rank-test matrix count (default: auto)")
-    p.add_argument("--n-tuples", type=int, help="permutation-test tuple count (default: auto)")
+    p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
+    p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
 
     p = sub.add_parser(
         "compare",
@@ -78,22 +102,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("gen_a", help="first generator spec")
     p.add_argument("gen_b", help="second generator spec")
-    p.add_argument("--size", type=int, default=10_000_000,
+    p.add_argument("--size", type=_nonnegative, default=10_000_000,
                    help="bytes generated from each (default 10000000)")
-    p.add_argument("--n-matrices", type=int, help="rank-test matrix count (default: auto)")
-    p.add_argument("--n-tuples", type=int, help="permutation-test tuple count (default: auto)")
+    p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
+    p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
     return parser
 
 
-def _shift_from_args(args) -> engine.ShiftMode:
-    if args.shift_const is not None:
-        return engine.ConstantShift(args.shift_const)
-    return engine.VariableShift(args.shift_var[0], args.shift_var[1])
-
-
 def _load_square(path: str) -> latin.LatinSquare:
-    with open(path, "r", encoding="ascii") as fh:
-        return latin.parse_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return latin.parse_text(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise latin.ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line) from None
+
+
+def _spec_int(key: str, text: str, convert: Callable[[str], int] = int) -> int:
+    try:
+        return convert(text)
+    except ValueError:
+        raise _UsageError(f"{key}: invalid {convert.__name__} value: {text!r}") from None
 
 
 def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
@@ -101,10 +131,7 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
     kind, _, rest = spec.partition(":")
     if kind == "kiss":
         if rest:
-            try:
-                seeds = tuple(int(tok) for tok in rest.split(","))
-            except ValueError:
-                raise _UsageError(f"bad kiss seeds in {spec!r}") from None
+            seeds = tuple(_spec_int("kiss seed", tok) for tok in rest.split(","))
             if len(seeds) != 4:
                 raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
         else:
@@ -122,16 +149,18 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
                 raise _UsageError("qg spec takes either file= or order=/seed=, not both")
             square = _load_square(fields.pop("file"))
         elif "order" in fields and "seed" in fields:
-            square = latin.random_latin_square(int(fields.pop("order")), int(fields.pop("seed")))
+            square = latin.random_latin_square(
+                _spec_int("qg order", fields.pop("order")), _spec_int("qg seed", fields.pop("seed")))
         else:
             raise _UsageError("qg spec needs file=PATH or order=N,seed=S")
         if ("const" in fields) == ("var" in fields):
             raise _UsageError("qg spec needs exactly one of const=K or var=X:Y")
         if "const" in fields:
-            shift: engine.ShiftMode = engine.ConstantShift(int(fields.pop("const")))
+            shift: engine.ShiftMode = engine.ConstantShift(
+                _spec_int("qg const", fields.pop("const"), _nonnegative))
         else:
             x, _, y = fields.pop("var").partition(":")
-            shift = engine.VariableShift(int(x), int(y))
+            shift = engine.VariableShift(_spec_int("qg var", x, _positive), _spec_int("qg var", y, _positive))
         if fields:
             raise _UsageError(f"unknown qg spec keys: {', '.join(sorted(fields))}")
         config = engine.GeneratorConfig(square, shift, engine.OutputMap.BYTES)
@@ -140,9 +169,6 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
 
 
 def _cmd_make_square(args) -> int:
-    if args.order < 2:
-        print("make-square: order must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     square = latin.random_latin_square(args.order, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(latin.to_text(square))
@@ -159,53 +185,49 @@ def _cmd_validate_square(args) -> int:
     return EXIT_OK
 
 
+def _open_sink(path: str | None):
+    """The file at `path`, else stdout, buffered even under `python -u`: there
+    stdout's raw write() may take only part of the data, and a buffered writer
+    retries until all of it is written."""
+    sys.stdout.flush()
+    try:
+        return open(path or sys.stdout.fileno(), "wb", closefd=bool(path))
+    except io.UnsupportedOperation:  # stdout replaced in process by an in-memory stream
+        return contextlib.nullcontext(sys.stdout.buffer)
+
+
+_ENCODERS = {
+    "bytes": lambda block: block.tobytes(),
+    "hex": lambda block: block.tobytes().hex().encode("ascii"),
+    "symbols": lambda block: " ".join(map(str, block.tolist())).encode("ascii"),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.length < 0:
-        print("gen: --length must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "bytes" and not args.out and not args.stdout:
         print("gen: raw bytes need --out or an explicit --stdout", file=sys.stderr)
         return EXIT_USAGE
-    square = _load_square(args.square)
-    shift = _shift_from_args(args)
-    if args.format == "symbols":
-        config = engine.GeneratorConfig(square, shift, engine.OutputMap.SYMBOLS)
-        eng = engine.Engine(config)
-        values: list[int] = []
-        while len(values) < args.length:
-            values.extend(int(v) for v in eng.next_block())
-        text = " ".join(str(v) for v in values[: args.length]) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    config = engine.GeneratorConfig(square, shift, engine.OutputMap.BYTES)
-    payload = engine.generate(config, args.length)
-    if args.format == "hex":
-        text = payload.hex() + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    shift = (engine.ConstantShift(args.shift_const) if args.shift_var is None
+             else engine.VariableShift(*args.shift_var))
+    output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
+    config = engine.GeneratorConfig(_load_square(args.square), shift, output_map)
+    with _open_sink(args.out) as sink:
+        for i, block in enumerate(engine.blocks(config, args.length)):
+            if i and args.format == "symbols":
+                sink.write(b" ")
+            sink.write(_ENCODERS[args.format](block))
+        if args.format != "bytes":
+            sink.write(b"\n")
+        sink.flush()
     return EXIT_OK
 
 
-def _battery_exit(entries) -> int:
+def _run_battery(sources: dict[str, bytes], args) -> int:
+    entries = battery.run_battery(
+        sources, sink=sys.stdout, n_matrices=args.n_matrices, n_tuples=args.n_tuples)
     if any(e.error is not None for e in entries):
         return EXIT_INSUFFICIENT
-    if any(e.result.suspect for e in entries):
-        return EXIT_BATTERY
-    return EXIT_OK
+    return EXIT_BATTERY if any(e.result.suspect for e in entries) else EXIT_OK
 
 
 def _cmd_test(args) -> int:
@@ -214,16 +236,11 @@ def _cmd_test(args) -> int:
         return EXIT_USAGE
     if args.input is not None:
         with open(args.input, "rb") as fh:
-            data = fh.read()
-        label = args.input
+            sources = {args.input: fh.read()}
     else:
         label, produce = _parse_genspec(args.self_gen)
-        data = produce(args.length)
-    entries = battery.run_battery(
-        {label: data}, sink=sys.stdout,
-        n_matrices=args.n_matrices, n_tuples=args.n_tuples,
-    )
-    return _battery_exit(entries)
+        sources = {label: produce(args.length)}
+    return _run_battery(sources, args)
 
 
 def _cmd_compare(args) -> int:
@@ -231,12 +248,7 @@ def _cmd_compare(args) -> int:
     label_b, produce_b = _parse_genspec(args.gen_b)
     if label_a == label_b:
         label_a, label_b = f"A:{label_a}", f"B:{label_b}"
-    sources = {label_a: produce_a(args.size), label_b: produce_b(args.size)}
-    entries = battery.run_battery(
-        sources, sink=sys.stdout,
-        n_matrices=args.n_matrices, n_tuples=args.n_tuples,
-    )
-    return _battery_exit(entries)
+    return _run_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args)
 
 
 _HANDLERS = {
@@ -256,13 +268,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except latin.LatinSquareError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (engine.OrderTooLargeForBytes, ValueError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -122,33 +122,34 @@ class Engine:
         self.gen_matrix = transpose_rotate(self.gen_matrix, shift)
 
     def next_block(self) -> np.ndarray:
-        """One full cycle; returns the n*n output values for this block."""
+        """One full cycle; returns the block's n*n 1-based symbols, or on the
+        byte map the uint8 working matrix itself (symbol-1 per cell)."""
         self.phase1()
-        symbols = self.phase2()
-        self.phase3()
+        block = self.gen_matrix.ravel() if self.config.output_map is OutputMap.BYTES else self.phase2()
+        self.phase3()  # builds a new working matrix, so `block` stays the caller's
         self.iteration += 1
-        if self.config.output_map is OutputMap.BYTES:
-            return (symbols - 1).astype(np.uint8)
-        return symbols
+        return block
 
     def symbols(self) -> Iterator[int]:
-        """Streaming emission: yield each symbol the moment phase 1 computes
-        it, element by element.  The sequence is identical to concatenated
-        row-major block reads; only the delivery is interlaced."""
-        table = self.config.square.table0
-        n = self.config.square.order
-        cells = n * n
+        """Endless 1-based symbols on either output map, advancing a whole block
+        at a time; the sequence equals concatenated row-major block reads."""
         while True:
-            temp = (table if self.initialized else self.gen_matrix).ravel().copy()
-            self.initialized = False
-            new = np.empty(cells, dtype=table.dtype)
-            for p in range(cells):
-                v = table[temp[p], temp[(p + 1) % cells]]
-                new[p] = v
-                yield int(v) + 1
-            self.gen_matrix = new.reshape(n, n)
+            self.phase1()
+            yield from self.phase2().tolist()
             self.phase3()
             self.iteration += 1
+
+
+def blocks(config: GeneratorConfig, length: int) -> Iterator[np.ndarray]:
+    """`next_block()` outputs of a fresh engine, the last one cut so that
+    exactly `length` values come out in total."""
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    engine = Engine(config)
+    while length > 0:
+        block = engine.next_block()[:length]
+        length -= block.size
+        yield block
 
 
 def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
@@ -157,13 +158,4 @@ def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
         raise OrderTooLargeForBytes(f"order {config.square.order} > 256")
     if config.output_map is not OutputMap.BYTES:
         raise ValueError("generate() requires the byte output mapping")
-    if length_bytes < 0:
-        raise ValueError("length_bytes must be >= 0")
-    engine = Engine(config)
-    chunks = []
-    produced = 0
-    while produced < length_bytes:
-        block = engine.next_block()
-        chunks.append(block.tobytes())
-        produced += block.size
-    return b"".join(chunks)[:length_bytes]
+    return b"".join(block.tobytes() for block in blocks(config, length_bytes))

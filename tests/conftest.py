@@ -1,9 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# child processes (`python -m qgrand`) test this tree too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 from qgrand import validate
 

@@ -1,12 +1,36 @@
+import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
-from qgrand import to_text, validate
+from qgrand import (
+    ConstantShift,
+    Engine,
+    GeneratorConfig,
+    OutputMap,
+    generate,
+    random_latin_square,
+    to_text,
+    validate,
+)
+from qgrand.cli import main
 
 from conftest import TABLE1
 from test_engine import TABLE1_BLOCK0
+
+
+def run_main(argv, capsys):
+    """`main(argv)` in process: (exit code, stdout, stderr)."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def run_cli(*args, **kwargs):
@@ -121,6 +145,148 @@ class TestGen:
         result = run_cli("gen", path, "--shift-const", 2, "--length", 10, "--stdout")
         assert result.returncode == 1
         assert b"row" in result.stderr
+
+
+    def test_non_ascii_square_file_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2\n1 2\n2 \xff1\n")
+        checked = run_cli("validate-square", path)
+        assert checked.returncode == 1
+        assert checked.stderr.decode().splitlines() == ["invalid square: line 3: byte 0xff is not ASCII"]
+        result = run_cli("gen", path, "--shift-const", 2, "--length", 10, "--stdout")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode().splitlines() == ["gen: line 3: byte 0xff is not ASCII"]
+
+
+def _expected_gen(fmt, length):
+    """What `gen TABLE1 --shift-const 2` must write, built from the library."""
+    square = validate(TABLE1)
+    if fmt == "symbols":
+        engine = Engine(GeneratorConfig(square, ConstantShift(2), OutputMap.SYMBOLS))
+        values = []
+        while len(values) < length:
+            values += engine.next_block().tolist()
+        return (" ".join(map(str, values[:length])) + "\n").encode()
+    data = generate(GeneratorConfig(square, ConstantShift(2), OutputMap.BYTES), length)
+    return data if fmt == "bytes" else (data.hex() + "\n").encode()
+
+
+class TestGenSinglePath:
+    # order 5: one block is 25 values
+    LENGTHS = [0, 24, 25, 26, 3 * 25 + 7]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("fmt", ["bytes", "hex", "symbols"])
+    def test_out_file(self, table1_file, tmp_path, capfdbinary, fmt, length):
+        out = tmp_path / "stream"
+        argv = ["gen", table1_file, "--shift-const", 2, "--length", length, "--format", fmt, "--out", out]
+        assert run_main(argv, capfdbinary) == (0, b"", b"")
+        assert out.read_bytes() == _expected_gen(fmt, length)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("fmt", ["bytes", "hex", "symbols"])
+    def test_stdout(self, table1_file, capfdbinary, fmt, length):
+        argv = ["gen", table1_file, "--shift-const", 2, "--length", length, "--format", fmt, "--stdout"]
+        assert run_main(argv, capfdbinary) == (0, _expected_gen(fmt, length), b"")
+
+    @pytest.mark.parametrize("fmt", ["bytes", "symbols"])
+    def test_in_memory_stdout(self, table1_file, capsysbinary, fmt):
+        # stdout replaced in process by a stream without a file descriptor
+        argv = ["gen", table1_file, "--shift-const", 2, "--length", 82, "--format", fmt, "--stdout"]
+        assert run_main(argv, capsysbinary) == (0, _expected_gen(fmt, 82), b"")
+
+    def test_stdout_complete_when_stopped_mid_write(self, tmp_path):
+        # Under PYTHONUNBUFFERED=1 stdout's binary layer is a raw FileIO, whose
+        # write() returns early when the writer is stopped while blocked on a
+        # full pipe; every byte must still arrive.
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(256, seed=3)))
+        length = 5_000_000
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgrand", "gen", str(square), "--shift-const", "7",
+             "--length", str(length), "--stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        received = bytearray()
+
+        def drain():  # slowly, so the pipe stays full
+            while chunk := proc.stdout.read1(16384):
+                received.extend(chunk)
+                time.sleep(0.001)
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        deadline = time.monotonic() + 120
+        try:
+            while proc.poll() is None and time.monotonic() < deadline:
+                proc.send_signal(signal.SIGSTOP)
+                time.sleep(0.01)
+                proc.send_signal(signal.SIGCONT)
+                time.sleep(0.01)
+        finally:
+            proc.kill()  # a no-op once the loop has seen it exit
+            code = proc.wait(timeout=60)
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0
+        config = GeneratorConfig(random_latin_square(256, seed=3), ConstantShift(7))
+        assert len(received) == length
+        assert bytes(received) == generate(config, length)
+
+    def test_peak_memory_independent_of_length(self, tmp_path):
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(256, seed=3)))
+
+        def peak_rss_kib(length):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qgrand", "gen", str(square), "--shift-var", "3", "9",
+                 "--length", str(length), "--out", os.devnull],
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_maxrss  # KiB on Linux
+
+        small, large = peak_rss_kib(1 << 20), peak_rss_kib(64 << 20)
+        assert large - small < 32 * 1024, (small, large)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["test", "--self-gen", "kiss", "--length", "-5"],
+        ["compare", "kiss", "kiss", "--size", "-3"],
+        ["test", "--self-gen", "kiss", "--n-matrices", "0"],
+        ["compare", "kiss", "kiss", "--n-matrices", "0"],
+        ["test", "--self-gen", "kiss", "--n-tuples", "0"],
+        ["compare", "qg:order=abc,seed=1,const=2", "kiss"],
+        ["compare", "qg:order=8,seed=x,const=2", "kiss"],
+        ["compare", "qg:order=8,seed=1,var=a:b", "kiss"],
+        ["compare", "qg:order=8,seed=1,var=1", "kiss"],
+        ["compare", "qg:order=8,seed=1,var=0:1", "kiss"],
+        ["compare", "qg:order=8,seed=1,const=-1", "kiss"],
+        ["gen", "{square}", "--shift-var", "0", "1", "--length", "10", "--stdout"],
+        ["gen", "{square}", "--shift-const", "-1", "--length", "10", "--stdout"],
+        ["gen", "{square}", "--shift-const", "2", "--length", "-1", "--stdout"],
+        ["gen", "{square}", "--shift-const", "2", "--length", "ten", "--stdout"],
+    ])
+    def test_usage_errors(self, argv, table1_file, capsys):
+        argv = [a.format(square=table1_file) for a in argv]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "{square}", "--shift-var", "6", "1", "--length", "10", "--stdout"],
+        ["compare", "qg:order=8,seed=1,var=9:1", "kiss"],
+        ["compare", "qg:order=300,seed=1,const=1", "kiss", "--size", "10"],
+    ])
+    def test_data_errors(self, argv, table1_file, capsys):
+        argv = [a.format(square=table1_file) for a in argv]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1, err
 
 
 class TestTest:

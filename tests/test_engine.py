@@ -14,7 +14,7 @@ from qgrand import (
     random_latin_square,
     validate,
 )
-from qgrand.engine import transpose_rotate
+from qgrand.engine import blocks, transpose_rotate
 
 from conftest import TABLE1
 from oracle import oracle_blocks
@@ -188,6 +188,15 @@ class TestStreamingInterlace:
         eng = Engine(GeneratorConfig(table1_square, ConstantShift(2), OutputMap.SYMBOLS))
         assert list(itertools.islice(eng.symbols(), 25)) == TABLE1_BLOCK0
 
+    def test_byte_map_yields_symbols_1_to_256(self):
+        # byte blocks hold symbol-1 as uint8; symbol 256 must not wrap to 0
+        config = GeneratorConfig(random_latin_square(256, seed=9), VariableShift(3, 9), OutputMap.BYTES)
+        got = list(itertools.islice(Engine(config).symbols(), 2 * 65536))
+        reference = Engine(config)
+        want = [v + 1 for _ in range(2) for v in reference.next_block().tolist()]
+        assert got == want
+        assert min(got) == 1 and max(got) == 256
+
 
 class TestEntryPreservation:
     def test_entries_stay_in_range_under_any_phase_interleaving(self):
@@ -259,6 +268,20 @@ class TestGenerate:
         config = GeneratorConfig(square, ConstantShift(1), OutputMap.SYMBOLS)
         with pytest.raises(OrderTooLargeForBytes):
             generate(config, 10)
+
+    @pytest.mark.parametrize("length", [0, 1, 24, 25, 26, 82])
+    def test_blocks_cut_the_last_block(self, table1_square, length):
+        config = GeneratorConfig(table1_square, VariableShift(2, 3), OutputMap.SYMBOLS)
+        got = [block.tolist() for block in blocks(config, length)]
+        engine = Engine(config)
+        full = [engine.next_block().tolist() for _ in range(-(-length // 25))]
+        assert got[:-1] == full[:-1]
+        assert sum(got, []) == sum(full, [])[:length]
+
+    def test_negative_length(self, table1_square):
+        config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.BYTES)
+        with pytest.raises(ValueError):
+            generate(config, -1)
 
     def test_generate_requires_byte_mapping(self, table1_square):
         config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.SYMBOLS)
