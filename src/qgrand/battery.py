@@ -147,27 +147,27 @@ class BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(cols))
 
 
-def _rank_of_int_rows(rows) -> int:
-    # Gaussian elimination with whole rows XORed as integers; each row is
-    # reduced against the pivot held for its current leading bit.
-    pivots: dict[int, int] = {}
+def _ranks(rows):
+    """GF(2) ranks, eliminating `rows` in place.  Either a (size, M) unsigned
+    array, rows[i] holding row i of each of M matrices, which gives an array
+    of M ranks; or a list of Python ints, one matrix of any width, which
+    gives its rank.
+
+    Pass i takes row i's lowest set bit as its pivot (a zero row has none
+    and adds no rank) and XORs row i into every later row holding that bit.
+    Row i is already clear of all earlier pivots, so they stay cleared."""
     rank = 0
-    for row in rows:
-        row = int(row)
-        while row:
-            lead = row.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                rank += 1
-                break
-            row ^= pivot
+    for i, r in enumerate(rows):
+        pivot = r & (0 - r)
+        rank = rank + (pivot != 0)
+        for j in range(i + 1, len(rows)):  # one row at a time: no (size, M) temporaries
+            rows[j] ^= ((rows[j] & pivot) != 0) * r
     return rank
 
 
 def gf2_rank(m: BitMatrix) -> int:
     """Rank of the matrix over GF(2)."""
-    return _rank_of_int_rows(m.row_bits)
+    return _ranks(list(m.row_bits))
 
 
 def rank_class_probabilities(n: int) -> tuple[float, float, float, float]:
@@ -199,7 +199,11 @@ def _words(data: bytes, count: int) -> np.ndarray:
 def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> TestResult:
     """Rank-class chi-square over n_matrices GF(2) matrices built from the
     input words: 32x32 uses all 32 bits of 32 consecutive words, 31x31 the
-    31 most significant bits of 31 words.  df = 3."""
+    31 most significant bits of 31 words.  df = 3.
+
+    All matrices are eliminated together: the words are laid out once as
+    (size, n_matrices), row i of every matrix side by side, and each
+    elimination step is one numpy operation across all of them."""
     if size not in (31, 32):
         raise ValueError(f"size must be 31 or 32, got {size}")
     if n_matrices < 1:
@@ -208,12 +212,9 @@ def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> Te
     if len(data) < needed:
         raise InsufficientInput(needed, len(data))
     words = _words(data, n_matrices * size).reshape(n_matrices, size)
-    if size == 31:
-        words = words >> 1
-    counts = [0, 0, 0, 0]
-    for block in words.tolist():
-        deficit = size - _rank_of_int_rows(block)
-        counts[min(deficit, 3)] += 1
+    # one copy both drops the low bit for 31x31 and transposes
+    ranks = _ranks(np.right_shift(words.T, 32 - size, order="C"))
+    counts = np.bincount(np.minimum(size - ranks, 3), minlength=4).tolist()
     probs = rank_class_probabilities(size)
     expected = [p * n_matrices for p in probs]
     statistic = _chi_square(counts, expected)

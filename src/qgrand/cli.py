@@ -50,6 +50,7 @@ def _int_at_least(minimum: int, name: str) -> Callable[[str], int]:
 
 _nonnegative = _int_at_least(0, "non-negative integer")
 _positive = _int_at_least(1, "positive integer")
+_order = _int_at_least(2, "order (>= 2)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-square", help="write a pseudorandom Latin square file")
-    p.add_argument("order", type=_int_at_least(2, "order (>= 2)"), help="square order (>= 2)")
+    p.add_argument("order", type=_order, help="square order (>= 2)")
     p.add_argument("--seed", type=int, default=1, help="64-bit construction seed (default 1)")
     p.add_argument("--out", required=True, help="output path (text format)")
 
@@ -136,7 +137,11 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
                 raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
         else:
             seeds = DEFAULT_KISS_SEEDS
-        return spec, lambda length: kiss.Kiss(*seeds).next_bytes(length)
+        try:
+            generator = kiss.Kiss(*seeds)
+        except ValueError as exc:  # a bad seed is bad whatever the stream length
+            raise _UsageError(f"kiss: {exc}") from None
+        return spec, generator.next_bytes
     if kind == "qg":
         fields: dict[str, str] = {}
         for item in filter(None, rest.split(",")):
@@ -150,7 +155,7 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
             square = _load_square(fields.pop("file"))
         elif "order" in fields and "seed" in fields:
             square = latin.random_latin_square(
-                _spec_int("qg order", fields.pop("order")), _spec_int("qg seed", fields.pop("seed")))
+                _spec_int("qg order", fields.pop("order"), _order), _spec_int("qg seed", fields.pop("seed")))
         else:
             raise _UsageError("qg spec needs file=PATH or order=N,seed=S")
         if ("const" in fields) == ("var" in fields):
@@ -205,8 +210,7 @@ _ENCODERS = {
 
 def _cmd_gen(args) -> int:
     if args.format == "bytes" and not args.out and not args.stdout:
-        print("gen: raw bytes need --out or an explicit --stdout", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("raw bytes need --out or an explicit --stdout")
     shift = (engine.ConstantShift(args.shift_const) if args.shift_var is None
              else engine.VariableShift(*args.shift_var))
     output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
@@ -232,8 +236,7 @@ def _run_battery(sources: dict[str, bytes], args) -> int:
 
 def _cmd_test(args) -> int:
     if (args.input is None) == (args.self_gen is None):
-        print("test: give exactly one of an input file or --self-gen", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("give exactly one of an input file or --self-gen")
     if args.input is not None:
         with open(args.input, "rb") as fh:
             sources = {args.input: fh.read()}
@@ -265,8 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except _UsageError as exc:  # the same prefix as argparse's own usage errors
+        print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 
 from qgrand import (
     BitMatrix,
+    ConstantShift,
+    GeneratorConfig,
     InsufficientInput,
     Kiss,
+    OutputMap,
     binary_rank_test,
     chisq_cdf,
     frequency_test,
+    generate,
     gf2_rank,
     permutation_test,
+    random_latin_square,
     rank_class_probabilities,
     run_battery,
 )
 from qgrand.battery import TestResult as ChiSquareResult
-from qgrand.battery import permutation_index, render_machine, render_report
+from qgrand.battery import _ranks, permutation_index, render_machine, render_report
 
 # class probabilities for 31x31 and 32x32 random bit matrices, frozen from
 # a high-precision evaluation of the product formula
@@ -141,6 +146,69 @@ class TestGf2Rank:
             BitMatrix(0, 3, ())
         with pytest.raises(ValueError):
             BitMatrix(2, 3, (1,))
+
+
+def _word_grid(words, size):
+    """Rows of a matrix given as `size`-bit words, as a 0/1 grid (MSB first)."""
+    return [[(int(v) >> (size - 1 - j)) & 1 for j in range(size)] for v in words]
+
+
+def _rank_stack(size, count, seed):
+    """(count, size) word matrices: random ones, and ones with zero rows,
+    duplicate rows, identity blocks and low rank."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**size, size=(count, size), dtype=np.uint64)
+    for m in range(count):
+        kind = m % 5
+        if kind == 1:  # zero rows
+            words[m, rng.choice(size, int(rng.integers(1, 4)), replace=False)] = 0
+        elif kind == 2:  # duplicate rows
+            src, dst = rng.choice(size, 2, replace=False)
+            words[m, dst] = words[m, src]
+        elif kind == 3:  # identity block over the first k rows, the rest zero
+            k = int(rng.integers(0, size + 1))
+            words[m] = 0
+            words[m, :k] = [1 << (size - 1 - i) for i in range(k)]
+        elif kind == 4:  # every row a combination of r basis rows
+            basis = words[m, : int(rng.integers(1, 6))]
+            mix = rng.integers(0, 2, size=(size, len(basis)))
+            words[m] = [np.bitwise_xor.reduce(basis[row.astype(bool)], initial=0) for row in mix]
+    return words.astype(np.uint32)
+
+
+class TestBatchedRanks:
+    @pytest.mark.parametrize("size", [31, 32])
+    def test_agrees_with_naive_oracle_on_a_stack(self, size):
+        words = _rank_stack(size, 300, seed=size)
+        ranks = _ranks(np.ascontiguousarray(words.T))
+        assert ranks.tolist() == [naive_rank(_word_grid(row, size)) for row in words]
+        assert len(set(ranks.tolist())) > 5  # the stack spans many ranks, not only full-ish
+
+    def test_gf2_rank_wider_than_64_bits(self):
+        rng = np.random.default_rng(70)
+        grid = rng.integers(0, 2, size=(70, 100))
+        grid[10:20] = grid[:10] ^ grid[20:30]  # rank at most 60
+        grid = grid.tolist()
+        want = naive_rank(grid)
+        assert want == 60
+        assert gf2_rank(BitMatrix.from_grid(grid)) == want
+
+    # rank-class counts (full, full-1, full-2, rest) of the criterion-5
+    # streams at 40000 matrices, from the per-matrix scalar eliminator
+    @pytest.mark.parametrize("source,size,counts", [
+        ("qg", 31, [11418, 23202, 5148, 232]),
+        ("qg", 32, [11504, 23185, 5102, 209]),
+        ("kiss", 31, [11706, 23019, 5080, 195]),
+        ("kiss", 32, [11445, 23133, 5199, 223]),
+    ])
+    def test_criterion_5_stream_counts_pinned(self, source, size, counts):
+        if source == "qg":
+            config = GeneratorConfig(random_latin_square(256, 1), ConstantShift(7), OutputMap.BYTES)
+            data = generate(config, 10_000_000)
+        else:
+            data = Kiss(12345, 65435, 34221, 12345).next_bytes(10_000_000)
+        result = binary_rank_test(data, size, 40000)
+        assert [obs for _, obs, _ in result.categories] == counts
 
 
 class TestRankClassProbabilities:

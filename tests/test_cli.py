@@ -277,6 +277,37 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("spec", [
+        "qg:order=0,seed=1,const=1",
+        "qg:order=1,seed=1,const=1",
+        "kiss:1,0,3,4",
+        "kiss:1,2,0,4",
+        "kiss:1,2,4294967295,4",
+        "kiss:1,2,3,0",
+        "kiss:1,2,3,4294967295",
+        "kiss:4294967296,2,3,4",
+        "kiss:1,2,3,-1",
+    ])
+    def test_spec_values_invalid_for_any_square(self, spec, capsys):
+        code, out, err = run_main(["compare", spec, "kiss", "--size", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("qgrand compare: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "{square}", "--shift-const", "2", "--length", "10"],
+        ["gen", "{square}", "--shift-const", "2", "--length", "-1", "--stdout"],
+        ["test"],
+        ["test", "--self-gen", "kiss", "--length", "x"],
+        ["compare", "mystery", "kiss"],
+        ["compare", "qg:order=8,seed=1", "kiss"],
+    ])
+    def test_usage_errors_share_argparse_prefix(self, argv, table1_file, capsys):
+        # handler errors and argparse's own errors read alike
+        argv = [a.format(square=table1_file) for a in argv]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qgrand {argv[0]}: ") and len(err.splitlines()) == 1, err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "{square}", "--shift-var", "6", "1", "--length", "10", "--stdout"],
         ["compare", "qg:order=8,seed=1,var=9:1", "kiss"],

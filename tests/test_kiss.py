@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrand import Kiss
 
@@ -114,3 +116,53 @@ class TestBytes:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Kiss(1, 2, 3, 4).next_bytes(-1)
+
+
+# z and w moduli of the two MWCs, a * 2^16 - 1: states equal to them are fixed points
+MWC_Z, MWC_W = 36969 * 2**16 - 1, 18000 * 2**16 - 1
+GATE_SEEDS = [
+    (12345, 65435, 34221, 12345),  # the CLI defaults
+    (1, 2, 3, 4),
+    (M32, M32, M32 - 1, M32 - 1),
+    (5, 6, MWC_Z, MWC_W),
+    (5, 6, MWC_Z + 1, MWC_W + 1),
+]
+# 4104 and 12297 put 1 and 3 words in each lane; 100003 needs lanes and a long scalar head
+GATE_LENGTHS = list(range(10)) + [4097, 4104, 12297, 100003]
+
+
+def scalar_bytes(gen, length):
+    """`length` bytes from repeated next_word(), the reference for next_bytes."""
+    return b"".join(gen.next_word().to_bytes(4, "big") for _ in range(-(-length // 4)))[:length]
+
+
+def state(gen):
+    return gen.x, gen.y, gen.z, gen.w
+
+
+class TestBytesMatchNextWord:
+    @pytest.mark.parametrize("length", GATE_LENGTHS)
+    @pytest.mark.parametrize("seeds", GATE_SEEDS)
+    def test_bytes_and_final_state(self, seeds, length):
+        fast, slow = Kiss(*seeds), Kiss(*seeds)
+        assert fast.next_bytes(length) == scalar_bytes(slow, length)
+        assert state(fast) == state(slow)
+
+    @pytest.mark.parametrize("seeds", GATE_SEEDS)
+    def test_calls_concatenate_on_word_boundaries(self, seeds):
+        a, b = 4 * 5000, 100003
+        gen = Kiss(*seeds)
+        assert gen.next_bytes(a) + gen.next_bytes(b) == Kiss(*seeds).next_bytes(a + b)
+
+    @given(
+        x=st.integers(0, M32),
+        y=st.integers(1, M32),
+        z=st.integers(1, M32 - 1),
+        w=st.integers(1, M32 - 1),
+        length=st.integers(0, 60_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_seed_and_length(self, x, y, z, w, length):
+        fast, slow = Kiss(x, y, z, w), Kiss(x, y, z, w)
+        assert fast.next_bytes(length) == scalar_bytes(slow, length)
+        assert state(fast) == state(slow)
