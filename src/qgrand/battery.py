@@ -26,6 +26,7 @@ MIN_MATRICES = 2000
 MIN_TUPLES = 1200
 
 _FACTORIALS_4 = (24, 6, 2, 1)
+_CHUNK = 1 << 20  # frequency_test's bytes per bincount, which widens each byte to an intp
 
 
 class NonConvergence(RuntimeError):
@@ -188,11 +189,18 @@ def rank_class_probabilities(n: int) -> tuple[float, float, float, float]:
     return full, full_m1, full_m2, 1.0 - full - full_m1 - full_m2
 
 
-def _chi_square(observed: Sequence[float], expected: Sequence[float]) -> float:
-    return float(sum((o - e) ** 2 / e for o, e in zip(observed, expected)))
+def _result(test_name: str, labels: Sequence[str], counts: list[int], expected: list[float]) -> TestResult:
+    """Chi-square of the observed `counts` against `expected`, one category
+    per label; df is one less than the number of categories."""
+    statistic = float(sum((o - e) ** 2 / e for o, e in zip(counts, expected)))
+    df = len(counts) - 1
+    return TestResult(test_name, statistic, df, chisq_cdf(statistic, df), list(zip(labels, counts, expected)))
 
 
 def _words(data: bytes, count: int) -> np.ndarray:
+    """The first `count` 32-bit words of `data`; InsufficientInput if it is shorter."""
+    if len(data) < 4 * count:
+        raise InsufficientInput(4 * count, len(data))
     return np.frombuffer(data, dtype=">u4", count=count)
 
 
@@ -208,24 +216,12 @@ def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> Te
         raise ValueError(f"size must be 31 or 32, got {size}")
     if n_matrices < 1:
         raise ValueError("n_matrices must be >= 1")
-    needed = n_matrices * size * 4
-    if len(data) < needed:
-        raise InsufficientInput(needed, len(data))
     words = _words(data, n_matrices * size).reshape(n_matrices, size)
     # one copy both drops the low bit for 31x31 and transposes
     ranks = _ranks(np.right_shift(words.T, 32 - size, order="C"))
     counts = np.bincount(np.minimum(size - ranks, 3), minlength=4).tolist()
-    probs = rank_class_probabilities(size)
-    expected = [p * n_matrices for p in probs]
-    statistic = _chi_square(counts, expected)
-    labels = ("full", "full-1", "full-2", "rest")
-    return TestResult(
-        test_name=f"rank_{size}x{size}",
-        statistic=statistic,
-        degrees_of_freedom=3,
-        p_value=chisq_cdf(statistic, 3),
-        categories=list(zip(labels, counts, expected)),
-    )
+    expected = [p * n_matrices for p in rank_class_probabilities(size)]
+    return _result(f"rank_{size}x{size}", ("full", "full-1", "full-2", "rest"), counts, expected)
 
 
 def permutation_index(values: Sequence[int]) -> int:
@@ -247,41 +243,23 @@ def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
     corrections."""
     if n_tuples < 1:
         raise ValueError("n_tuples must be >= 1")
-    needed = n_tuples * 5 * 4
-    if len(data) < needed:
-        raise InsufficientInput(needed, len(data))
     words = _words(data, n_tuples * 5).reshape(n_tuples, 5)
-    # strict j>i comparisons encode the earlier-is-smaller tie rule
-    smaller = words[:, :, None] > words[:, None, :]
-    later = np.triu(np.ones((5, 5), dtype=bool), k=1)
-    lehmer = (smaller & later).sum(axis=2)
-    indices = lehmer[:, 0] * 24 + lehmer[:, 1] * 6 + lehmer[:, 2] * 2 + lehmer[:, 3]
-    counts = np.bincount(indices, minlength=120)
-    expected = [n_tuples / 120.0] * 120
-    statistic = _chi_square(counts.tolist(), expected)
-    return TestResult(
-        test_name="perm5",
-        statistic=statistic,
-        degrees_of_freedom=119,
-        p_value=chisq_cdf(statistic, 119),
-        categories=[(str(i), int(counts[i]), expected[i]) for i in range(120)],
-    )
+    # permutation_index pair by pair over all tuples; strict > keeps earlier-is-smaller on ties
+    indices = np.zeros(n_tuples, dtype=np.intp)
+    for i, weight in enumerate(_FACTORIALS_4):
+        for j in range(i + 1, 5):
+            indices += (words[:, i] > words[:, j]) * weight
+    counts = np.bincount(indices, minlength=120).tolist()
+    return _result("perm5", [str(i) for i in range(120)], counts, [n_tuples / 120.0] * 120)
 
 
 def frequency_test(data: bytes) -> TestResult:
     """Chi-square over the 256 byte-value counts.  df = 255."""
     if len(data) < 25600:
         raise InsufficientInput(25600, len(data))
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    expected = [len(data) / 256.0] * 256
-    statistic = _chi_square(counts.tolist(), expected)
-    return TestResult(
-        test_name="frequency",
-        statistic=statistic,
-        degrees_of_freedom=255,
-        p_value=chisq_cdf(statistic, 255),
-        categories=[(f"0x{i:02x}", int(counts[i]), expected[i]) for i in range(256)],
-    )
+    b = np.frombuffer(data, dtype=np.uint8)
+    counts = sum(np.bincount(b[i : i + _CHUNK], minlength=256) for i in range(0, len(b), _CHUNK)).tolist()
+    return _result("frequency", [f"0x{i:02x}" for i in range(256)], counts, [len(data) / 256.0] * 256)
 
 
 @dataclass(frozen=True)
@@ -308,15 +286,17 @@ def run_battery(
     """
     entries: list[BatteryEntry] = []
     for name, data in sources.items():
+        tuples = _fit(n_tuples, len(data) // 20, 1_000_000, MIN_TUPLES)
+        matrices = {size: _fit(n_matrices, len(data) // (4 * size), 40000, MIN_MATRICES) for size in (31, 32)}
         plan = [
-            ("frequency", lambda d: frequency_test(d)),
-            ("perm5", lambda d: permutation_test(d, _fit_tuples(d, n_tuples))),
-            ("rank_31x31", lambda d: binary_rank_test(d, 31, _fit_matrices(d, 31, n_matrices))),
-            ("rank_32x32", lambda d: binary_rank_test(d, 32, _fit_matrices(d, 32, n_matrices))),
+            ("frequency", lambda: frequency_test(data)),
+            ("perm5", lambda: permutation_test(data, tuples)),
+            ("rank_31x31", lambda: binary_rank_test(data, 31, matrices[31])),
+            ("rank_32x32", lambda: binary_rank_test(data, 32, matrices[32])),
         ]
         for test_name, runner in plan:
             try:
-                entries.append(BatteryEntry(name, test_name, result=runner(data)))
+                entries.append(BatteryEntry(name, test_name, result=runner()))
             except InsufficientInput as exc:
                 entries.append(BatteryEntry(name, test_name, error=exc))
     if sink is not None:
@@ -326,18 +306,12 @@ def run_battery(
     return entries
 
 
-def _fit_tuples(data: bytes, requested: int | None) -> int:
+def _fit(requested: int | None, available: int, default: int, minimum: int) -> int:
+    """`requested` if given, else `default` shrunk to the `available` count
+    but never below `minimum`."""
     if requested is not None:
         return requested
-    fit = min(1_000_000, len(data) // 20)
-    return fit if fit >= MIN_TUPLES else MIN_TUPLES
-
-
-def _fit_matrices(data: bytes, size: int, requested: int | None) -> int:
-    if requested is not None:
-        return requested
-    fit = min(40000, len(data) // (4 * size))
-    return fit if fit >= MIN_MATRICES else MIN_MATRICES
+    return max(minimum, min(default, available))
 
 
 def render_report(entries: Sequence[BatteryEntry]) -> str:

@@ -127,8 +127,8 @@ def _spec_int(key: str, text: str, convert: Callable[[str], int] = int) -> int:
         raise _UsageError(f"{key}: invalid {convert.__name__} value: {text!r}") from None
 
 
-def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
-    """Turn a generator spec string into (label, produce(length) -> bytes)."""
+def _parse_genspec(spec: str) -> Callable[[int], bytes]:
+    """Turn a generator spec string into produce(length) -> bytes."""
     kind, _, rest = spec.partition(":")
     if kind == "kiss":
         if rest:
@@ -141,7 +141,7 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
             generator = kiss.Kiss(*seeds)
         except ValueError as exc:  # a bad seed is bad whatever the stream length
             raise _UsageError(f"kiss: {exc}") from None
-        return spec, generator.next_bytes
+        return generator.next_bytes
     if kind == "qg":
         fields: dict[str, str] = {}
         for item in filter(None, rest.split(",")):
@@ -169,7 +169,7 @@ def _parse_genspec(spec: str) -> tuple[str, Callable[[int], bytes]]:
         if fields:
             raise _UsageError(f"unknown qg spec keys: {', '.join(sorted(fields))}")
         config = engine.GeneratorConfig(square, shift, engine.OutputMap.BYTES)
-        return spec, lambda length: engine.generate(config, length)
+        return lambda length: engine.generate(config, length)
     raise _UsageError(f"unknown generator {kind!r} (expected kiss or qg)")
 
 
@@ -241,14 +241,13 @@ def _cmd_test(args) -> int:
         with open(args.input, "rb") as fh:
             sources = {args.input: fh.read()}
     else:
-        label, produce = _parse_genspec(args.self_gen)
-        sources = {label: produce(args.length)}
+        sources = {args.self_gen: _parse_genspec(args.self_gen)(args.length)}
     return _run_battery(sources, args)
 
 
 def _cmd_compare(args) -> int:
-    label_a, produce_a = _parse_genspec(args.gen_a)
-    label_b, produce_b = _parse_genspec(args.gen_b)
+    produce_a, produce_b = _parse_genspec(args.gen_a), _parse_genspec(args.gen_b)
+    label_a, label_b = args.gen_a, args.gen_b
     if label_a == label_b:
         label_a, label_b = f"A:{label_a}", f"B:{label_b}"
     return _run_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args)
@@ -268,12 +267,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:  # the same prefix as argparse's own usage errors
+    except (_UsageError, ValueError, OSError) as exc:  # the same prefix as argparse's own errors
         print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DATA
 
 
 def run() -> None:

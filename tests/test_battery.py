@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ def _rank_stack(size, count, seed):
     return words.astype(np.uint32)
 
 
+@pytest.fixture(scope="module")
+def criterion_5_streams():
+    """The 10 MB quasigroup and KISS streams of acceptance criterion 5."""
+    config = GeneratorConfig(random_latin_square(256, 1), ConstantShift(7), OutputMap.BYTES)
+    return {"qg": generate(config, 10_000_000), "kiss": Kiss(12345, 65435, 34221, 12345).next_bytes(10_000_000)}
+
+
 class TestBatchedRanks:
     @pytest.mark.parametrize("size", [31, 32])
     def test_agrees_with_naive_oracle_on_a_stack(self, size):
@@ -201,13 +209,8 @@ class TestBatchedRanks:
         ("kiss", 31, [11706, 23019, 5080, 195]),
         ("kiss", 32, [11445, 23133, 5199, 223]),
     ])
-    def test_criterion_5_stream_counts_pinned(self, source, size, counts):
-        if source == "qg":
-            config = GeneratorConfig(random_latin_square(256, 1), ConstantShift(7), OutputMap.BYTES)
-            data = generate(config, 10_000_000)
-        else:
-            data = Kiss(12345, 65435, 34221, 12345).next_bytes(10_000_000)
-        result = binary_rank_test(data, size, 40000)
+    def test_criterion_5_stream_counts_pinned(self, criterion_5_streams, source, size, counts):
+        result = binary_rank_test(criterion_5_streams[source], size, 40000)
         assert [obs for _, obs, _ in result.categories] == counts
 
 
@@ -296,13 +299,16 @@ class TestPermutationTest:
         assert result.categories[0][1] == 2000
 
     def test_vectorized_classes_match_scalar_index(self):
+        # full 32-bit words almost never tie; words from {0, 1, 2} and {0, 1}
+        # put the earlier-is-smaller tie rule to work on mixed tuples
         rng = np.random.default_rng(99)
-        words = rng.integers(0, 2**32, size=5 * 3000, dtype=np.uint64).astype(np.uint32)
-        result = permutation_test(words.astype(">u4").tobytes(), 3000)
-        want = np.zeros(120, dtype=int)
-        for i in range(3000):
-            want[permutation_index(words[5 * i : 5 * i + 5].tolist())] += 1
-        assert [obs for _, obs, _ in result.categories] == want.tolist()
+        for high in (2**32, 3, 2):
+            words = rng.integers(0, high, size=5 * 3000, dtype=np.uint64).astype(np.uint32)
+            result = permutation_test(words.astype(">u4").tobytes(), 3000)
+            want = np.zeros(120, dtype=int)
+            for i in range(3000):
+                want[permutation_index(words[5 * i : 5 * i + 5].tolist())] += 1
+            assert [obs for _, obs, _ in result.categories] == want.tolist()
 
     def test_kiss_stream_in_healthy_range(self):
         data = Kiss(12345, 65435, 34221, 12345).next_bytes(50_000 * 20)
@@ -411,6 +417,29 @@ class TestRunBattery:
         entries = run_battery({"tiny": bytes(100)})
         assert len(entries) == 4
         assert all(e.error is not None for e in entries)
+
+    def test_working_memory_bounded_whatever_the_input_length(self):
+        data = bytes(40_000_000)
+        tracemalloc.start()
+        try:
+            run_battery({"z": data})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
+
+    def test_criterion_5_machine_lines_pinned(self, criterion_5_streams):
+        # the reproducibility contract: statistics and p-values to 6 decimals
+        assert render_machine(run_battery(criterion_5_streams)).splitlines() == [
+            "frequency\tqg\t258.335027\t255\t0.570062",
+            "perm5\tqg\t105.534400\t119\t0.193663",
+            "rank_31x31\tqg\t4.009040\t3\t0.739510",
+            "rank_32x32\tqg\t0.713464\t3\t0.129967",
+            "frequency\tkiss\t229.861581\t255\t0.130887",
+            "perm5\tkiss\t132.173440\t119\t0.807066",
+            "rank_31x31\tkiss\t4.214706\t3\t0.760806",
+            "rank_32x32\tkiss\t2.478320\t3\t0.520778",
+        ]
 
     def test_machine_lines_format(self):
         data = Kiss(1, 2, 3, 4).next_bytes(400_000)

@@ -156,7 +156,7 @@ class TestGen:
         result = run_cli("gen", path, "--shift-const", 2, "--length", 10, "--stdout")
         assert result.returncode == 1
         assert result.stdout == b""
-        assert result.stderr.decode().splitlines() == ["gen: line 3: byte 0xff is not ASCII"]
+        assert result.stderr.decode().splitlines() == ["qgrand gen: line 3: byte 0xff is not ASCII"]
 
 
 def _expected_gen(fmt, length):
