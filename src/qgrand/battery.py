@@ -30,8 +30,8 @@ _CHUNK = 1 << 20  # frequency_test's bytes per bincount, which widens each byte 
 
 
 class NonConvergence(RuntimeError):
-    """Iteration cap hit in the incomplete gamma evaluation; an internal bug,
-    not a property of the input."""
+    """An internal numerical failure, not a property of the input.  Kept for
+    API stability: chisq_cdf is a finite sum and no longer raises it."""
 
 
 class InsufficientInput(ValueError):
@@ -54,58 +54,29 @@ class TestResult:
         return not SUSPECT_LOW <= self.p_value <= SUSPECT_HIGH
 
 
-_ITMAX = 600
-_EPS = 1e-15
-
-
 def chisq_cdf(statistic: float, df: int) -> float:
-    """Left-tail chi-square probability P(X <= statistic) for df degrees of
-    freedom, i.e. the regularized lower incomplete gamma P(df/2, statistic/2).
+    """Left-tail chi-square probability P(X <= statistic) for an integer df,
+    i.e. the regularized lower incomplete gamma P(df/2, statistic/2).
 
-    Series expansion below the a+1 crossover, Lentz continued fraction above;
-    absolute error below 1e-6 across the supported range.
+    One finite sum for the upper tail (Abramowitz & Stegun 26.4.4-26.4.5):
+    with x = statistic/2 and k = df/2, df/2 - 1, ... down to 1 (even df) or
+    3/2 (odd df, which adds erfc(sqrt(x))), each term e^-x x^(k-1) / Gamma(k)
+    is taken from its logarithm, so none underflows while it still matters.
+    No iteration limit; within 1e-9 of scipy's gammainc up to df 20000.
     """
-    if statistic < 0:
-        raise ValueError(f"statistic {statistic} < 0")
+    if not 0 <= statistic < math.inf:
+        raise ValueError(f"statistic {statistic} is not finite and >= 0")
     if df < 1:
         raise ValueError(f"df {df} < 1")
-    a = df / 2.0
     x = statistic / 2.0
     if x == 0.0:
         return 0.0
-    log_prefix = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(_ITMAX):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                return min(1.0, total * math.exp(log_prefix))
-        raise NonConvergence(f"series stalled at a={a}, x={x}")
-    # Lentz's method for the upper-tail continued fraction Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return max(0.0, 1.0 - math.exp(log_prefix) * h)
-    raise NonConvergence(f"continued fraction stalled at a={a}, x={x}")
+    log_x = math.log(x)
+    upper = math.erfc(math.sqrt(x)) if df % 2 else 0.0
+    for i in range(df // 2):
+        k = df / 2.0 - i
+        upper += math.exp(-x + (k - 1.0) * log_x - math.lgamma(k))
+    return max(0.0, 1.0 - upper)
 
 
 @dataclass(frozen=True)
@@ -245,10 +216,11 @@ def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
         raise ValueError("n_tuples must be >= 1")
     words = _words(data, n_tuples * 5).reshape(n_tuples, 5)
     # permutation_index pair by pair over all tuples; strict > keeps earlier-is-smaller on ties
-    indices = np.zeros(n_tuples, dtype=np.intp)
+    # every index is below 120, so uint8 holds it; np.uint8(weight) keeps the product uint8 too
+    indices = np.zeros(n_tuples, dtype=np.uint8)
     for i, weight in enumerate(_FACTORIALS_4):
         for j in range(i + 1, 5):
-            indices += (words[:, i] > words[:, j]) * weight
+            indices += (words[:, i] > words[:, j]) * np.uint8(weight)
     counts = np.bincount(indices, minlength=120).tolist()
     return _result("perm5", [str(i) for i in range(120)], counts, [n_tuples / 120.0] * 120)
 

@@ -79,14 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output length (bytes, or symbol count with --format symbols)")
     p.add_argument("--format", choices=("bytes", "symbols", "hex"), default="bytes",
                    help="bytes = raw, symbols = 1-based decimals, hex = lowercase pairs (default bytes)")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--stdout", action="store_true",
-                   help="write to stdout (required for raw bytes without --out)")
+    sink = p.add_mutually_exclusive_group()
+    sink.add_argument("--out", help="output path")
+    sink.add_argument("--stdout", action="store_true",
+                      help="write to stdout (required for raw bytes without --out)")
 
     p = sub.add_parser("test", help="run the battery on a byte stream")
-    p.add_argument("input", nargs="?", help="file of raw bytes to test")
-    p.add_argument("--self-gen", metavar="SPEC",
-                   help="generator spec to test instead of a file (see compare --help)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="file of raw bytes to test")
+    source.add_argument("--self-gen", metavar="SPEC",
+                        help="generator spec to test instead of a file (see compare --help)")
     p.add_argument("--length", type=_nonnegative, default=10_000_000,
                    help="bytes to generate with --self-gen (default 10000000)")
     p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
@@ -235,8 +237,6 @@ def _run_battery(sources: dict[str, bytes], args) -> int:
 
 
 def _cmd_test(args) -> int:
-    if (args.input is None) == (args.self_gen is None):
-        raise _UsageError("give exactly one of an input file or --self-gen")
     if args.input is not None:
         with open(args.input, "rb") as fh:
             sources = {args.input: fh.read()}

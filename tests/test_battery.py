@@ -25,7 +25,7 @@ from qgrand import (
     run_battery,
 )
 from qgrand.battery import TestResult as ChiSquareResult
-from qgrand.battery import _ranks, permutation_index, render_machine, render_report
+from qgrand.battery import BatteryEntry, _ranks, permutation_index, render_machine, render_report
 
 # class probabilities for 31x31 and 32x32 random bit matrices, frozen from
 # a high-precision evaluation of the product formula
@@ -52,7 +52,7 @@ class TestChisqCdf:
     def test_matches_scipy(self):
         from scipy.special import gammainc
 
-        for df in (1, 2, 3, 10, 99, 119, 255, 500):
+        for df in (1, 2, 3, 10, 99, 119, 255, 500, 1000, 5000, 20000):
             for statistic in (0.01, 0.5, 1.0, df / 2, df, 2 * df, 10 * df):
                 assert abs(chisq_cdf(statistic, df) - gammainc(df / 2, statistic / 2)) < 1e-9
 
@@ -74,6 +74,11 @@ class TestChisqCdf:
             chisq_cdf(-1.0, 3)
         with pytest.raises(ValueError):
             chisq_cdf(1.0, 0)
+
+    @pytest.mark.parametrize("statistic", [math.nan, math.inf])
+    def test_rejects_non_finite_statistic(self, statistic):
+        with pytest.raises(ValueError):
+            chisq_cdf(statistic, 3)
 
     def test_nonconvergence_signals_a_bug_not_bad_input(self):
         from qgrand import NonConvergence
@@ -260,6 +265,11 @@ class TestBinaryRankTest:
         assert 0.001 < result.p_value < 0.999
         assert sum(obs for _, obs, _ in result.categories) == 4000
 
+    def test_matrix_count_must_be_positive(self):
+        with pytest.raises(ValueError) as exc:
+            binary_rank_test(bytes(4096), 32, 0)
+        assert not isinstance(exc.value, InsufficientInput)
+
     def test_size_must_be_31_or_32(self):
         with pytest.raises(ValueError):
             binary_rank_test(bytes(10000), 30, 10)
@@ -319,6 +329,11 @@ class TestPermutationTest:
     def test_insufficient_input(self):
         with pytest.raises(InsufficientInput):
             permutation_test(b"\x00" * 19, 1)
+
+    def test_tuple_count_must_be_positive(self):
+        with pytest.raises(ValueError) as exc:
+            permutation_test(bytes(4096), 0)
+        assert not isinstance(exc.value, InsufficientInput)
 
 
 class TestFrequencyTest:
@@ -426,7 +441,7 @@ class TestRunBattery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32_000_000
+        assert peak < 16_000_000
 
     def test_criterion_5_machine_lines_pinned(self, criterion_5_streams):
         # the reproducibility contract: statistics and p-values to 6 decimals
@@ -440,6 +455,16 @@ class TestRunBattery:
             "rank_31x31\tkiss\t4.214706\t3\t0.760806",
             "rank_32x32\tkiss\t2.478320\t3\t0.520778",
         ]
+
+    def test_report_marks_a_missing_pair_with_a_dash(self):
+        result = ChiSquareResult("frequency", 250.0, 255, 0.4, [])
+        entries = [
+            BatteryEntry("a", "frequency", result=result),
+            BatteryEntry("a", "perm5", result=result),
+            BatteryEntry("b", "frequency", result=result),
+        ]
+        perm5_row = render_report(entries).splitlines()[3]
+        assert perm5_row.startswith("perm5") and perm5_row.endswith("| -")
 
     def test_machine_lines_format(self):
         data = Kiss(1, 2, 3, 4).next_bytes(400_000)

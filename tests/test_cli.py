@@ -270,6 +270,7 @@ class TestExitCodes:
         ["gen", "{square}", "--shift-const", "-1", "--length", "10", "--stdout"],
         ["gen", "{square}", "--shift-const", "2", "--length", "-1", "--stdout"],
         ["gen", "{square}", "--shift-const", "2", "--length", "ten", "--stdout"],
+        ["gen", "{square}", "--shift-const", "2", "--length", "10", "--out", "{square}.out", "--stdout"],
     ])
     def test_usage_errors(self, argv, table1_file, capsys):
         argv = [a.format(square=table1_file) for a in argv]

@@ -7,6 +7,7 @@ from qgrand import (
     DuplicateInColumn,
     DuplicateInRow,
     LatinSquare,
+    LatinSquareError,
     NotSquare,
     OrderTooSmall,
     ParseError,
@@ -16,6 +17,8 @@ from qgrand import (
     to_text,
     validate,
 )
+
+from qgrand import latin
 
 from conftest import TABLE1
 
@@ -55,6 +58,10 @@ class TestValidate:
             validate([[1, 2, 3], [2, 3, 1]])
         with pytest.raises(NotSquare):
             validate([])
+
+    def test_constructor_rejects_a_non_square_table(self):
+        with pytest.raises(NotSquare):
+            LatinSquare(np.zeros((2, 3), dtype=np.uint8))
 
     def test_symbol_out_of_range(self):
         with pytest.raises(SymbolOutOfRange) as exc:
@@ -140,6 +147,14 @@ class TestRandomLatinSquare:
         with pytest.raises(OrderTooSmall):
             random_latin_square(0, 0)
 
+    def test_order_above_maximum_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(self, n):
+            raise AssertionError("drew a permutation")
+
+        monkeypatch.setattr(latin._Mix64, "permutation", no_draws)
+        with pytest.raises(LatinSquareError):
+            random_latin_square(latin.MAX_ORDER + 1, 1)
+
     def test_element_width_is_one_byte_up_to_256(self):
         assert random_latin_square(256, 1).table0.dtype.itemsize == 1
         assert random_latin_square(257, 1).table0.dtype.itemsize == 2
@@ -166,6 +181,12 @@ class TestTextFormat:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_text("")
+
+    @pytest.mark.parametrize("order_line,col", [("2 1", None), ("two", 1), ("0", 1)])
+    def test_bad_order_line(self, order_line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_text(f"# header\n{order_line}\n1 2\n2 1\n")
+        assert (exc.value.line, exc.value.col) == (2, col)
 
     def test_missing_rows(self):
         with pytest.raises(ParseError):
