@@ -26,7 +26,7 @@ MIN_MATRICES = 2000
 MIN_TUPLES = 1200
 
 _FACTORIALS_4 = (24, 6, 2, 1)
-_CHUNK = 1 << 20  # frequency_test's bytes per bincount, which widens each byte to an intp
+_CHUNK = 1 << 16  # codes per bincount in _result, which widens each to an intp (512 KiB)
 
 
 class NonConvergence(RuntimeError):
@@ -160,9 +160,11 @@ def rank_class_probabilities(n: int) -> tuple[float, float, float, float]:
     return full, full_m1, full_m2, 1.0 - full - full_m1 - full_m2
 
 
-def _result(test_name: str, labels: Sequence[str], counts: list[int], expected: list[float]) -> TestResult:
-    """Chi-square of the observed `counts` against `expected`, one category
-    per label; df is one less than the number of categories."""
+def _result(test_name: str, labels: Sequence[str], codes: np.ndarray, expected: list[float]) -> TestResult:
+    """Chi-square of the counts of `codes`, each item's index into `labels`,
+    against `expected`; df is one less than the number of categories."""
+    chunks = range(0, len(codes), _CHUNK)
+    counts = sum(np.bincount(codes[i : i + _CHUNK], minlength=len(labels)) for i in chunks).tolist()
     statistic = float(sum((o - e) ** 2 / e for o, e in zip(counts, expected)))
     df = len(counts) - 1
     return TestResult(test_name, statistic, df, chisq_cdf(statistic, df), list(zip(labels, counts, expected)))
@@ -190,9 +192,9 @@ def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> Te
     words = _words(data, n_matrices * size).reshape(n_matrices, size)
     # one copy both drops the low bit for 31x31 and transposes
     ranks = _ranks(np.right_shift(words.T, 32 - size, order="C"))
-    counts = np.bincount(np.minimum(size - ranks, 3), minlength=4).tolist()
+    classes = np.minimum(size - ranks, 3)
     expected = [p * n_matrices for p in rank_class_probabilities(size)]
-    return _result(f"rank_{size}x{size}", ("full", "full-1", "full-2", "rest"), counts, expected)
+    return _result(f"rank_{size}x{size}", ("full", "full-1", "full-2", "rest"), classes, expected)
 
 
 def permutation_index(values: Sequence[int]) -> int:
@@ -221,17 +223,15 @@ def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
     for i, weight in enumerate(_FACTORIALS_4):
         for j in range(i + 1, 5):
             indices += (words[:, i] > words[:, j]) * np.uint8(weight)
-    counts = np.bincount(indices, minlength=120).tolist()
-    return _result("perm5", [str(i) for i in range(120)], counts, [n_tuples / 120.0] * 120)
+    return _result("perm5", [str(i) for i in range(120)], indices, [n_tuples / 120.0] * 120)
 
 
 def frequency_test(data: bytes) -> TestResult:
     """Chi-square over the 256 byte-value counts.  df = 255."""
     if len(data) < 25600:
         raise InsufficientInput(25600, len(data))
-    b = np.frombuffer(data, dtype=np.uint8)
-    counts = sum(np.bincount(b[i : i + _CHUNK], minlength=256) for i in range(0, len(b), _CHUNK)).tolist()
-    return _result("frequency", [f"0x{i:02x}" for i in range(256)], counts, [len(data) / 256.0] * 256)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    return _result("frequency", [f"0x{i:02x}" for i in range(256)], codes, [len(data) / 256.0] * 256)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +12,24 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 from qgrand import validate
+
+# Linux counts the resident memory a process had before exec in its
+# ru_maxrss, so a command spawned straight from pytest would report at least
+# pytest's RSS.  This small process spawns it instead and reports for it.
+_TRAMPOLINE = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def run_peak_rss(argv):
+    """Run `argv` (argv[0] an absolute path); return (exit code, its peak
+    RSS in KiB), measured from a trampoline process rather than this one."""
+    out = subprocess.run([sys.executable, "-c", _TRAMPOLINE, *map(str, argv)],
+                         stdout=subprocess.PIPE, check=True).stdout
+    return tuple(map(int, out.split()[-2:]))
 
 # order-5 square used in the worked examples
 TABLE1 = [

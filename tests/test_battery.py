@@ -443,6 +443,22 @@ class TestRunBattery:
             tracemalloc.stop()
         assert peak < 16_000_000
 
+    @pytest.mark.parametrize("run,bound", [
+        (frequency_test, 1_000_000),
+        (lambda data: permutation_test(data, 1_000_000), 4_000_000),
+        (lambda data: run_battery({"z": data}), 7_000_000),
+    ], ids=["frequency", "perm5", "run_battery"])
+    def test_count_temporaries_bounded(self, run, bound):
+        # counts are taken a slice at a time, so no count widens a whole input
+        data = bytes(40_000_000)
+        tracemalloc.start()
+        try:
+            run(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
     def test_criterion_5_machine_lines_pinned(self, criterion_5_streams):
         # the reproducibility contract: statistics and p-values to 6 decimals
         assert render_machine(run_battery(criterion_5_streams)).splitlines() == [

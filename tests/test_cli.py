@@ -19,7 +19,7 @@ from qgrand import (
 )
 from qgrand.cli import main
 
-from conftest import TABLE1
+from conftest import TABLE1, run_peak_rss
 from test_engine import TABLE1_BLOCK0
 
 
@@ -240,14 +240,10 @@ class TestGenSinglePath:
         square.write_text(to_text(random_latin_square(256, seed=3)))
 
         def peak_rss_kib(length):
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "qgrand", "gen", str(square), "--shift-var", "3", "9",
-                 "--length", str(length), "--out", os.devnull],
-            )
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == 0
-            return usage.ru_maxrss  # KiB on Linux
+            code, kib = run_peak_rss([sys.executable, "-m", "qgrand", "gen", square, "--shift-var", "3", "9",
+                                      "--length", length, "--out", os.devnull])
+            assert code == 0
+            return kib
 
         small, large = peak_rss_kib(1 << 20), peak_rss_kib(64 << 20)
         assert large - small < 32 * 1024, (small, large)
