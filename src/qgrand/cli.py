@@ -203,13 +203,6 @@ def _open_sink(path: str | None):
         return contextlib.nullcontext(sys.stdout.buffer)
 
 
-_ENCODERS = {
-    "bytes": lambda block: block.tobytes(),
-    "hex": lambda block: block.tobytes().hex().encode("ascii"),
-    "symbols": lambda block: " ".join(map(str, block.tolist())).encode("ascii"),
-}
-
-
 def _cmd_gen(args) -> int:
     if args.format == "bytes" and not args.out and not args.stdout:
         raise _UsageError("raw bytes need --out or an explicit --stdout")
@@ -217,11 +210,17 @@ def _cmd_gen(args) -> int:
              else engine.VariableShift(*args.shift_var))
     output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
     config = engine.GeneratorConfig(_load_square(args.square), shift, output_map)
+    labels = [b"%d" % s for s in range(config.square.order + 1)]  # labels[s] is symbol s in ASCII
+    encode = {
+        "bytes": lambda block: block,  # the block's own buffer, not a copy
+        "hex": lambda block: block.tobytes().hex().encode("ascii"),
+        "symbols": lambda block: b" ".join(map(labels.__getitem__, block.tolist())),
+    }[args.format]
     with _open_sink(args.out) as sink:
         for i, block in enumerate(engine.blocks(config, args.length)):
             if i and args.format == "symbols":
                 sink.write(b" ")
-            sink.write(_ENCODERS[args.format](block))
+            sink.write(encode(block))
         if args.format != "bytes":
             sink.write(b"\n")
         sink.flush()

@@ -103,9 +103,12 @@ class Engine:
         """Rebuild the working matrix from a snapshot of its predecessor."""
         table = self.config.square.table0
         temp = table.ravel() if self.initialized else self.gen_matrix.ravel()
-        succ = np.roll(temp, -1)
+        # flat (cell, successor) index in intp: n * temp overflows the table's own dtype
+        idx = np.multiply(temp, table.shape[0], dtype=np.intp)
+        idx[:-1] += temp[1:]
+        idx[-1] += temp[0]
         # reads come only from the snapshot; the result array is built whole
-        self.gen_matrix = table[temp, succ].reshape(table.shape)
+        self.gen_matrix = table.ravel()[idx].reshape(table.shape)
         self.initialized = False
 
     def phase2(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
 )
 
-from qgrand import validate
+from qgrand import random_latin_square, validate
+
+from oracle import oracle_blocks
 
 # Linux counts the resident memory a process had before exec in its
 # ru_maxrss, so a command spawned straight from pytest would report at least
@@ -30,6 +33,14 @@ def run_peak_rss(argv):
     out = subprocess.run([sys.executable, "-c", _TRAMPOLINE, *map(str, argv)],
                          stdout=subprocess.PIPE, check=True).stdout
     return tuple(map(int, out.split()[-2:]))
+
+
+@functools.lru_cache(maxsize=None)
+def large_order_oracle(order, shift):
+    """The first two `oracle_blocks` of `random_latin_square(order, seed=order)`.
+    One run takes about 0.4 s at orders 255-300, so tests share it."""
+    return oracle_blocks(random_latin_square(order, seed=order).rows(), shift, 2)
+
 
 # order-5 square used in the worked examples
 TABLE1 = [

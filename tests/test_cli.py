@@ -19,7 +19,7 @@ from qgrand import (
 )
 from qgrand.cli import main
 
-from conftest import TABLE1, run_peak_rss
+from conftest import TABLE1, large_order_oracle, run_peak_rss
 from test_engine import TABLE1_BLOCK0
 
 
@@ -195,6 +195,27 @@ class TestGenSinglePath:
         # stdout replaced in process by a stream without a file descriptor
         argv = ["gen", table1_file, "--shift-const", 2, "--length", 82, "--format", fmt, "--stdout"]
         assert run_main(argv, capsysbinary) == (0, _expected_gen(fmt, 82), b"")
+
+    def test_multi_digit_symbol_labels(self, tmp_path, capfdbinary):
+        # order 300: labels of one to three digits, and a second block
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(300, seed=300)))
+        length = 300 * 300 + 1234
+        values = [v for block in large_order_oracle(300, ("var", 300, 299)) for v in block][:length]
+        argv = ["gen", square, "--shift-var", 300, 299, "--length", length, "--format", "symbols", "--stdout"]
+        assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
+
+    @pytest.mark.parametrize("sink", ["--out", "--stdout"])
+    def test_raw_bytes_at_order_256(self, tmp_path, capfdbinary, sink):
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(256, seed=256)))
+        length = 65536 + 777
+        want = bytes(v - 1 for block in large_order_oracle(256, ("const", 65535)) for v in block)[:length]
+        out = tmp_path / "stream"
+        argv = ["gen", square, "--shift-const", 65535, "--length", length, sink, *([out] if sink == "--out" else [])]
+        code, stdout, stderr = run_main(argv, capfdbinary)
+        assert (code, stderr) == (0, b"")
+        assert (out.read_bytes() if sink == "--out" else stdout) == want
 
     def test_stdout_complete_when_stopped_mid_write(self, tmp_path):
         # Under PYTHONUNBUFFERED=1 stdout's binary layer is a raw FileIO, whose

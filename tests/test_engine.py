@@ -16,7 +16,7 @@ from qgrand import (
 )
 from qgrand.engine import blocks, transpose_rotate
 
-from conftest import TABLE1
+from conftest import TABLE1, large_order_oracle
 from oracle import oracle_blocks
 
 # first cycle for the TABLE1 seed, frozen from the reference transcription
@@ -169,6 +169,30 @@ class TestOracleEquivalence:
             eng = Engine(GeneratorConfig(square, mode, OutputMap.SYMBOLS))
             got = [eng.next_block().tolist() for _ in range(3)]
             assert got == oracle_blocks(square.rows(), shift, 3)
+
+    # From order 17 on, a cell index n * symbol no longer fits a uint8 table
+    # (from order 257 on, n * n no longer fits a uint16 one), so only these
+    # orders can show an index built in the table's own dtype.
+    @pytest.mark.parametrize("order,shift", [
+        (17, ("const", 5)),
+        (255, ("var", 7, 200)),
+        (256, ("var", 1, 256)),
+        (256, ("var", 256, 1)),
+        (256, ("const", 0)),
+        (256, ("const", 65535)),
+        (256, ("const", 65536)),
+        (256, ("const", 2 * 65536 + 3)),
+        (300, ("var", 300, 299)),  # past the byte map: symbols from a uint16 table
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_orders_that_overflow_a_narrow_index(self, order, shift):
+        mode = ConstantShift(shift[1]) if shift[0] == "const" else VariableShift(*shift[1:])
+        output = OutputMap.BYTES if order <= 256 else OutputMap.SYMBOLS
+        eng = Engine(GeneratorConfig(random_latin_square(order, seed=order), mode, output))
+        offset = 1 if output is OutputMap.BYTES else 0  # byte blocks hold symbol-1
+        got = [(eng.next_block().astype(np.int64) + offset).tolist() for _ in range(2)]
+        if shift[0] == "const":  # the oracle reduces the shift mod n*n itself
+            shift = ("const", shift[1] % (order * order))
+        assert got == large_order_oracle(order, shift)
 
 
 class TestStreamingInterlace:
