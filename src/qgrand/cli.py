@@ -15,6 +15,8 @@ import io
 import sys
 from typing import Callable
 
+import numpy as np
+
 from . import battery, engine, kiss, latin
 
 DEFAULT_KISS_SEEDS = (12345, 65435, 34221, 12345)
@@ -210,17 +212,17 @@ def _cmd_gen(args) -> int:
              else engine.VariableShift(*args.shift_var))
     output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
     config = engine.GeneratorConfig(_load_square(args.square), shift, output_map)
-    labels = [b"%d" % s for s in range(config.square.order + 1)]  # labels[s] is symbol s in ASCII
+    glyphs = np.array([b" %d" % s for s in range(config.square.order + 1)])  # " s", NUL-padded (S dtype)
     encode = {
         "bytes": lambda block: block,  # the block's own buffer, not a copy
         "hex": lambda block: block.tobytes().hex().encode("ascii"),
-        "symbols": lambda block: b" ".join(map(labels.__getitem__, block.tolist())),
+        "symbols": lambda block: glyphs.take(block).tobytes().translate(None, b"\0"),
     }[args.format]
+    skip = int(args.format == "symbols")  # the stream's first symbol has no leading space
     with _open_sink(args.out) as sink:
-        for i, block in enumerate(engine.blocks(config, args.length)):
-            if i and args.format == "symbols":
-                sink.write(b" ")
-            sink.write(encode(block))
+        for block in engine.blocks(config, args.length):
+            sink.write(encode(block)[skip:])
+            skip = 0
         if args.format != "bytes":
             sink.write(b"\n")
         sink.flush()

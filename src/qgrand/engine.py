@@ -80,9 +80,9 @@ def transpose_rotate(matrix: np.ndarray, shift: int) -> np.ndarray:
     """The phase-3 matrix transform: transpose, flatten row-major, rotate the
     stream right by `shift` (old position p lands at (p+shift) mod n*n),
     refill row-major.  Value-agnostic."""
-    n = matrix.shape[0]
     flat = matrix.T.ravel()
-    return np.roll(flat, shift % (n * n)).reshape(n, n)
+    cut = flat.size - shift % flat.size  # two slices: np.roll's generic axis handling costs more
+    return np.concatenate((flat[cut:], flat[:cut])).reshape(matrix.shape)
 
 
 class Engine:

@@ -20,6 +20,7 @@ from qgrand import (
 from qgrand.cli import main
 
 from conftest import TABLE1, large_order_oracle, run_peak_rss
+from oracle import oracle_blocks
 from test_engine import TABLE1_BLOCK0
 
 
@@ -174,7 +175,7 @@ def _expected_gen(fmt, length):
 
 class TestGenSinglePath:
     # order 5: one block is 25 values
-    LENGTHS = [0, 24, 25, 26, 3 * 25 + 7]
+    LENGTHS = [0, 1, 24, 25, 26, 3 * 25 + 7]
 
     @pytest.mark.parametrize("length", LENGTHS)
     @pytest.mark.parametrize("fmt", ["bytes", "hex", "symbols"])
@@ -203,6 +204,19 @@ class TestGenSinglePath:
         length = 300 * 300 + 1234
         values = [v for block in large_order_oracle(300, ("var", 300, 299)) for v in block][:length]
         argv = ["gen", square, "--shift-var", 300, 299, "--length", length, "--format", "symbols", "--stdout"]
+        assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
+
+    @pytest.mark.parametrize("whole, extra", [(0, 1), (1, 0), (1, 1), (3, 7)], ids=["1", "n2", "n2+1", "3n2+7"])
+    @pytest.mark.parametrize("order", [9, 10, 99, 100])
+    def test_symbol_label_width_boundaries(self, tmp_path, capfdbinary, order, whole, extra):
+        # labels widen from one digit to two at 10 and to three at 100; the
+        # stream is cut inside the first block, at its end, and in later blocks
+        length = whole * order * order + extra
+        seed_square = random_latin_square(order, seed=order)
+        values = [v for block in oracle_blocks(seed_square.rows(), ("var", 1, order), whole + 1) for v in block][:length]
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(seed_square))
+        argv = ["gen", square, "--shift-var", 1, order, "--length", length, "--format", "symbols", "--stdout"]
         assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
 
     @pytest.mark.parametrize("sink", ["--out", "--stdout"])

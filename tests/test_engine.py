@@ -84,7 +84,25 @@ class TestPhase2:
         assert eng.next_block().tolist() == [1]
 
 
+def roll_reference(matrix, shift):
+    """Phase 3 as first written, with np.roll: the slow reference for transpose_rotate."""
+    n = matrix.shape[0]
+    return np.roll(matrix.T.ravel(), shift % (n * n)).reshape(n, n)
+
+
 class TestPhase3:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("order", [*range(1, 21), 256])
+    def test_matches_roll_reference(self, order, dtype):
+        rng = np.random.default_rng(order)
+        matrix = rng.integers(0, np.iinfo(dtype).max, size=(order, order), dtype=dtype, endpoint=True)
+        cells = order * order
+        shifts = [0, 1, cells - 1, cells, cells + 1, 7 * cells + 3, *rng.integers(0, 10 * cells, 5).tolist()]
+        for shift in shifts:
+            rotated = transpose_rotate(matrix, shift)
+            assert rotated.dtype == dtype
+            assert np.array_equal(rotated, roll_reference(matrix, shift)), shift
+
     def test_2x2_rotate_by_one(self):
         matrix = np.array([[1, 2], [3, 4]])
         assert transpose_rotate(matrix, 1).tolist() == [[4, 1], [3, 2]]
