@@ -4,7 +4,6 @@ chi-square randomness battery."""
 from .battery import (
     BitMatrix,
     InsufficientInput,
-    NonConvergence,
     TestResult,
     binary_rank_test,
     chisq_cdf,
@@ -50,7 +49,6 @@ __all__ = [
     "Kiss",
     "LatinSquare",
     "LatinSquareError",
-    "NonConvergence",
     "NotSquare",
     "OrderTooLargeForBytes",
     "OrderTooSmall",

@@ -29,11 +29,6 @@ _FACTORIALS_4 = (24, 6, 2, 1)
 _CHUNK = 1 << 16  # codes per bincount in _result, which widens each to an intp (512 KiB)
 
 
-class NonConvergence(RuntimeError):
-    """An internal numerical failure, not a property of the input.  Kept for
-    API stability: chisq_cdf is a finite sum and no longer raises it."""
-
-
 class InsufficientInput(ValueError):
     def __init__(self, needed: int, got: int):
         super().__init__(f"need {needed} input bytes, got {got}")
@@ -105,18 +100,6 @@ class BitMatrix:
                 value = (value << 1) | (1 if cell else 0)
             bits.append(value)
         return cls(rows, cols, tuple(bits))
-
-    def bit(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> (self.cols - 1 - j)) & 1
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            value = 0
-            for i in range(self.rows):
-                value = (value << 1) | self.bit(i, j)
-            cols.append(value)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
 
 
 def _ranks(rows):

@@ -38,11 +38,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
 
 
-def _int_at_least(minimum: int, name: str) -> Callable[[str], int]:
-    """Integer parser for flags (argparse `type=`) and spec fields; raises ValueError."""
+class _SpecParser(argparse.ArgumentParser):
+    """Parses a qg spec's fields, fed as --key=value; errors name the keys as typed."""
+
+    def error(self, message):
+        raise _UsageError(" ".join(word.removeprefix("--") for word in message.split(" ")))
+
+
+def _int_between(low: int, high: float, name: str) -> Callable[[str], int]:
+    """Integer parser for flags and spec fields (argparse `type=`); raises ValueError."""
 
     def convert(text: str) -> int:
-        if int(text) < minimum:
+        if not low <= int(text) <= high:
             raise ValueError(text)
         return int(text)
 
@@ -50,9 +57,24 @@ def _int_at_least(minimum: int, name: str) -> Callable[[str], int]:
     return convert
 
 
-_nonnegative = _int_at_least(0, "non-negative integer")
-_positive = _int_at_least(1, "positive integer")
-_order = _int_at_least(2, "order (>= 2)")
+_nonnegative = _int_between(0, float("inf"), "non-negative integer")
+_positive = _int_between(1, float("inf"), "positive integer")
+_order = _int_between(2, latin.MAX_ORDER, f"order (2..{latin.MAX_ORDER})")
+_seed = _int_between(0, 2**64 - 1, "seed (0..2^64-1)")
+
+
+def _cell(text: str) -> tuple[int, int]:
+    x, _, y = text.partition(":")
+    return _positive(x), _positive(y)
+
+
+_cell.__name__ = "X:Y cell"
+
+
+def _shift(args) -> engine.ShiftMode:  # from gen's flags or a qg spec's keys
+    if args.shift_var is None:
+        return engine.ConstantShift(args.shift_const)
+    return engine.VariableShift(*args.shift_var)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-square", help="write a pseudorandom Latin square file")
-    p.add_argument("order", type=_order, help="square order (>= 2)")
-    p.add_argument("--seed", type=int, default=1, help="64-bit construction seed (default 1)")
+    p.add_argument("order", type=_order, help=f"square order (2..{latin.MAX_ORDER})")
+    p.add_argument("--seed", type=_seed, default=1, help="construction seed, 0..2^64-1 (default 1)")
     p.add_argument("--out", required=True, help="output path (text format)")
 
     p = sub.add_parser("validate-square", help="check a square file for the Latin property")
@@ -91,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("input", nargs="?", help="file of raw bytes to test")
     source.add_argument("--self-gen", metavar="SPEC",
                         help="generator spec to test instead of a file (see compare --help)")
-    p.add_argument("--length", type=_nonnegative, default=10_000_000,
+    p.add_argument("--length", type=_nonnegative,
                    help="bytes to generate with --self-gen (default 10000000)")
     p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
     p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
@@ -124,55 +146,33 @@ def _load_square(path: str) -> latin.LatinSquare:
         raise latin.ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line) from None
 
 
-def _spec_int(key: str, text: str, convert: Callable[[str], int] = int) -> int:
-    try:
-        return convert(text)
-    except ValueError:
-        raise _UsageError(f"{key}: invalid {convert.__name__} value: {text!r}") from None
-
-
 def _parse_genspec(spec: str) -> Callable[[int], bytes]:
     """Turn a generator spec string into produce(length) -> bytes."""
     kind, _, rest = spec.partition(":")
     if kind == "kiss":
-        if rest:
-            seeds = tuple(_spec_int("kiss seed", tok) for tok in rest.split(","))
-            if len(seeds) != 4:
-                raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
-        else:
-            seeds = DEFAULT_KISS_SEEDS
+        seeds = rest.split(",") if rest else DEFAULT_KISS_SEEDS
+        if len(seeds) != 4:
+            raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
         try:
-            generator = kiss.Kiss(*seeds)
-        except ValueError as exc:  # a bad seed is bad whatever the stream length
+            generator = kiss.Kiss(*map(int, seeds))
+        except ValueError as exc:  # a non-integer, or a seed Kiss rejects
             raise _UsageError(f"kiss: {exc}") from None
         return generator.next_bytes
     if kind == "qg":
-        fields: dict[str, str] = {}
-        for item in filter(None, rest.split(",")):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise _UsageError(f"expected key=value, got {item!r} in {spec!r}")
-            fields[key] = value
-        if "file" in fields:
-            if "order" in fields or "seed" in fields:
-                raise _UsageError("qg spec takes either file= or order=/seed=, not both")
-            square = _load_square(fields.pop("file"))
-        elif "order" in fields and "seed" in fields:
-            square = latin.random_latin_square(
-                _spec_int("qg order", fields.pop("order"), _order), _spec_int("qg seed", fields.pop("seed")))
-        else:
-            raise _UsageError("qg spec needs file=PATH or order=N,seed=S")
-        if ("const" in fields) == ("var" in fields):
-            raise _UsageError("qg spec needs exactly one of const=K or var=X:Y")
-        if "const" in fields:
-            shift: engine.ShiftMode = engine.ConstantShift(
-                _spec_int("qg const", fields.pop("const"), _nonnegative))
-        else:
-            x, _, y = fields.pop("var").partition(":")
-            shift = engine.VariableShift(_spec_int("qg var", x, _positive), _spec_int("qg var", y, _positive))
-        if fields:
-            raise _UsageError(f"unknown qg spec keys: {', '.join(sorted(fields))}")
-        config = engine.GeneratorConfig(square, shift, engine.OutputMap.BYTES)
+        parser = _SpecParser(add_help=False, allow_abbrev=False)
+        source = parser.add_mutually_exclusive_group(required=True)
+        source.add_argument("--file")
+        source.add_argument("--order", type=_order)
+        parser.add_argument("--seed", type=_seed)
+        shift = parser.add_mutually_exclusive_group(required=True)
+        shift.add_argument("--const", dest="shift_const", type=_nonnegative)
+        shift.add_argument("--var", dest="shift_var", type=_cell)
+        fields = parser.parse_args(["--" + item for item in filter(None, rest.split(","))])
+        if (fields.order is None) != (fields.seed is None):
+            raise _UsageError("qg spec takes seed= with order= and only with it")
+        square = (_load_square(fields.file) if fields.file is not None
+                  else latin.random_latin_square(fields.order, fields.seed))
+        config = engine.GeneratorConfig(square, _shift(fields), engine.OutputMap.BYTES)
         return lambda length: engine.generate(config, length)
     raise _UsageError(f"unknown generator {kind!r} (expected kiss or qg)")
 
@@ -208,10 +208,8 @@ def _open_sink(path: str | None):
 def _cmd_gen(args) -> int:
     if args.format == "bytes" and not args.out and not args.stdout:
         raise _UsageError("raw bytes need --out or an explicit --stdout")
-    shift = (engine.ConstantShift(args.shift_const) if args.shift_var is None
-             else engine.VariableShift(*args.shift_var))
     output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
-    config = engine.GeneratorConfig(_load_square(args.square), shift, output_map)
+    config = engine.GeneratorConfig(_load_square(args.square), _shift(args), output_map)
     glyphs = np.array([b" %d" % s for s in range(config.square.order + 1)])  # " s", NUL-padded (S dtype)
     encode = {
         "bytes": lambda block: block,  # the block's own buffer, not a copy
@@ -239,10 +237,13 @@ def _run_battery(sources: dict[str, bytes], args) -> int:
 
 def _cmd_test(args) -> int:
     if args.input is not None:
+        if args.length is not None:
+            raise _UsageError("--length applies only to --self-gen, not to an input file")
         with open(args.input, "rb") as fh:
             sources = {args.input: fh.read()}
     else:
-        sources = {args.self_gen: _parse_genspec(args.self_gen)(args.length)}
+        length = 10_000_000 if args.length is None else args.length
+        sources = {args.self_gen: _parse_genspec(args.self_gen)(length)}
     return _run_battery(sources, args)
 
 

@@ -4,9 +4,8 @@ Each cycle rewrites an n x n working matrix and emits its n*n entries:
 
   phase 1  every cell becomes the table lookup of itself with its row-major
            successor (wrapping from the end of a row to the start of the
-           next, and from the last cell back to the first); the first cycle
-           reads the seed square itself, later cycles read the previous
-           working matrix
+           next, and from the last cell back to the first); the working
+           matrix starts as a copy of the seed square
   phase 2  the working matrix is read out row-major as the output block
   phase 3  the matrix is transposed, flattened row-major, rotated right by
            a constant or by a data-dependent amount, and refilled row-major
@@ -100,9 +99,10 @@ class Engine:
         self.iteration = 0
 
     def phase1(self) -> None:
-        """Rebuild the working matrix from a snapshot of its predecessor."""
+        """Rebuild the working matrix from a snapshot of its predecessor; on a
+        fresh engine that is the seed square, or any `gen_matrix` assigned since."""
         table = self.config.square.table0
-        temp = table.ravel() if self.initialized else self.gen_matrix.ravel()
+        temp = self.gen_matrix.ravel()
         # flat (cell, successor) index in intp: n * temp overflows the table's own dtype
         idx = np.multiply(temp, table.shape[0], dtype=np.intp)
         idx[:-1] += temp[1:]
@@ -161,4 +161,9 @@ def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
         raise OrderTooLargeForBytes(f"order {config.square.order} > 256")
     if config.output_map is not OutputMap.BYTES:
         raise ValueError("generate() requires the byte output mapping")
-    return b"".join(block.tobytes() for block in blocks(config, length_bytes))
+    out = bytearray(length_bytes)
+    view, pos = memoryview(out), 0
+    for block in blocks(config, length_bytes):  # one buffer: no per-block bytes objects
+        view[pos : pos + block.size] = block
+        pos += block.size
+    return bytes(out)

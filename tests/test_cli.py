@@ -17,6 +17,7 @@ from qgrand import (
     to_text,
     validate,
 )
+from qgrand import latin
 from qgrand.cli import main
 
 from conftest import TABLE1, large_order_oracle, run_peak_rss
@@ -68,6 +69,24 @@ class TestMakeSquare:
         result = run_cli("make-square", 5, "--out", blocker / "square.txt")
         assert result.returncode == 1
         assert result.stderr
+
+    def test_largest_seed_writes_its_square(self, tmp_path, capsys):
+        out = tmp_path / "square.txt"
+        assert run_main(["make-square", 4, "--seed", 2**64 - 1, "--out", out], capsys) == (0, "", "")
+        assert out.read_text() == to_text(random_latin_square(4, 2**64 - 1))
+
+    @pytest.mark.parametrize("argv", [
+        ["make-square", "65537", "--out", "x.txt"],
+        ["compare", "qg:order=65537,seed=1,const=1", "kiss"],
+    ])
+    def test_order_above_maximum_rejected_before_building(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("square built for an invalid order")
+
+        monkeypatch.setattr(latin, "random_latin_square", refuse)
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qgrand {argv[0]}: ") and len(err.splitlines()) == 1, err
 
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -302,6 +321,10 @@ class TestExitCodes:
         ["gen", "{square}", "--shift-const", "2", "--length", "-1", "--stdout"],
         ["gen", "{square}", "--shift-const", "2", "--length", "ten", "--stdout"],
         ["gen", "{square}", "--shift-const", "2", "--length", "10", "--out", "{square}.out", "--stdout"],
+        ["test", "{square}", "--length", "5"],
+        ["make-square", "4", "--seed", "18446744073709551616", "--out", "{square}.out"],
+        ["make-square", "4", "--seed", "-1", "--out", "{square}.out"],
+        ["make-square", "65537", "--out", "{square}.out"],
     ])
     def test_usage_errors(self, argv, table1_file, capsys):
         argv = [a.format(square=table1_file) for a in argv]
@@ -319,6 +342,9 @@ class TestExitCodes:
         "kiss:1,2,3,4294967295",
         "kiss:4294967296,2,3,4",
         "kiss:1,2,3,-1",
+        "qg:order=65537,seed=1,const=1",
+        "qg:order=8,seed=18446744073709551616,const=1",
+        "qg:order=8,seed=-1,const=1",
     ])
     def test_spec_values_invalid_for_any_square(self, spec, capsys):
         code, out, err = run_main(["compare", spec, "kiss", "--size", "10"], capsys)
@@ -332,6 +358,9 @@ class TestExitCodes:
         ["test", "--self-gen", "kiss", "--length", "x"],
         ["compare", "mystery", "kiss"],
         ["compare", "qg:order=8,seed=1", "kiss"],
+        ["compare", "qg:ord=8,seed=1,const=2", "kiss"],
+        ["compare", "qg:order=8,const=2", "kiss"],
+        ["compare", "qg:file={square},seed=1,const=2", "kiss"],
     ])
     def test_usage_errors_share_argparse_prefix(self, argv, table1_file, capsys):
         # handler errors and argparse's own errors read alike
@@ -350,6 +379,11 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1, err
+
+    def test_spec_errors_name_keys_as_typed(self, capsys):
+        code, out, err = run_main(["compare", "qg:order=8,seed=1,const=2,bogus=1", "kiss"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "qgrand compare: unrecognized arguments: bogus=1\n"
 
 
 class TestTest:
@@ -409,6 +443,19 @@ class TestCompare:
     def test_bad_kiss_seeds(self):
         assert run_cli("compare", "kiss:1,2", "kiss", "--size", 1000).returncode == 2
         assert run_cli("compare", "kiss:a,b,c,d", "kiss", "--size", 1000).returncode == 2
+
+    def test_file_path_may_hold_equals_signs(self, tmp_path, capsys):
+        # only the first "=" of a spec field separates key from value
+        plain, odd = tmp_path / "plain.txt", tmp_path / "a=b c.txt"
+        for path in (plain, odd):
+            path.write_text(to_text(random_latin_square(16, seed=3)))
+        code, out, err = run_main(["compare", f"qg:file={plain},var=2:5", f"qg:file={odd},var=2:5",
+                                   "--size", 30_000], capsys)
+        assert err == ""
+        machine = [line.split("\t") for line in out.splitlines() if "\t" in line]
+        assert len(machine) == 8
+        assert [row[:1] + row[2:] for row in machine[:4]] == [row[:1] + row[2:] for row in machine[4:]]
+        assert machine[0][2] != "NA"
 
     def test_bad_qg_specs(self, tmp_path):
         for spec in (

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,19 @@ class TestPhase1:
         first = eng.gen_matrix.copy()
         eng.phase1()
         assert not np.array_equal(eng.gen_matrix, first)
+
+    @pytest.mark.parametrize("shift", [ConstantShift(5), VariableShift(3, 7)])
+    @pytest.mark.parametrize("cycles", [1, 2, 5])
+    def test_fresh_engine_resumes_from_an_assigned_gen_matrix(self, shift, cycles):
+        # the first cycle reads gen_matrix like every other, not the seed square
+        config = GeneratorConfig(random_latin_square(16, seed=2), shift, OutputMap.BYTES)
+        source = Engine(config)
+        for _ in range(cycles):
+            source.next_block()
+        resumed = Engine(config)
+        resumed.gen_matrix = source.gen_matrix.copy()
+        for _ in range(3):
+            assert np.array_equal(resumed.next_block(), source.next_block())
 
 
 class TestPhase2:
@@ -319,6 +334,35 @@ class TestGenerate:
         full = [engine.next_block().tolist() for _ in range(-(-length // 25))]
         assert got[:-1] == full[:-1]
         assert sum(got, []) == sum(full, [])[:length]
+
+    @pytest.mark.parametrize("order,length,digests", [
+        (2, 1003, ("99049e1e4d7a60a6f0657e9654e8c6b8d1a77a2593ef934912c8207c215e68f1",
+                   "e6ea34f34c46ae8fab6e2cdb91bd5905bdb21897f6e5757c74c4c164f9e286f4")),
+        (4, 10_007, ("074e44d1318b2175f13db97a40d9ba711e4dd7a2ed28308d24d3820325130606",
+                     "8abfb00fed934d7ac3fe0104721f6bef7a4ce19b0675aa884101600bbb45fc49")),
+        (16, 100_007, ("f05cb69b4fd864d464308478a12ebcf60718da3ad02af7231bbfbb5903c73f64",
+                       "b2dcbf8d68f5b3554456b25d50b772d013c6fa512ccb89b54b48275c9bc774eb")),
+        (256, 1_000_007, ("e189e8ea338b12f525f0f07ed617560b3cdd8aca6d7d50da27d37e53eaf2206a",
+                          "161399fda75e1c127afbc7bca36f31b3d126543c0f3f34b99d917b4875fd5de8")),
+    ])
+    def test_stream_digests_pinned(self, order, length, digests):
+        # the reproducibility contract: sha256 of seed-5 streams, cut mid-block
+        square = random_latin_square(order, seed=5)
+        for shift, digest in zip((ConstantShift(3), VariableShift(1, 2)), digests):
+            assert hashlib.sha256(generate(GeneratorConfig(square, shift), length)).hexdigest() == digest
+
+    def test_peak_memory_twice_the_stream_at_small_orders(self):
+        # one preallocated buffer plus the returned bytes; a bytes object per
+        # 16-byte block would peak near 10x the stream
+        config = GeneratorConfig(random_latin_square(4, seed=1), ConstantShift(3))
+        length = 250_000
+        tracemalloc.start()
+        try:
+            generate(config, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * length, peak
 
     def test_negative_length(self, table1_square):
         config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.BYTES)
