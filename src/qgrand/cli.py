@@ -200,13 +200,13 @@ def _open_sink(path: str | None):
     retries until all of it is written."""
     sys.stdout.flush()
     try:
-        return open(path or sys.stdout.fileno(), "wb", closefd=bool(path))
+        return open(sys.stdout.fileno() if path is None else path, "wb", closefd=path is not None)
     except io.UnsupportedOperation:  # stdout replaced in process by an in-memory stream
         return contextlib.nullcontext(sys.stdout.buffer)
 
 
 def _cmd_gen(args) -> int:
-    if args.format == "bytes" and not args.out and not args.stdout:
+    if args.format == "bytes" and args.out is None and not args.stdout:
         raise _UsageError("raw bytes need --out or an explicit --stdout")
     output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
     config = engine.GeneratorConfig(_load_square(args.square), _shift(args), output_map)

@@ -103,12 +103,14 @@ class Engine:
         fresh engine that is the seed square, or any `gen_matrix` assigned since."""
         table = self.config.square.table0
         temp = self.gen_matrix.ravel()
-        # flat (cell, successor) index in intp: n * temp overflows the table's own dtype
-        idx = np.multiply(temp, table.shape[0], dtype=np.intp)
+        # flat index n * cell + successor is at most n * (n-1) + (n-1) = n*n - 1, so it
+        # always fits the narrowest unsigned dtype that holds n*n - 1 (uint16 at order 256)
+        idx = np.multiply(temp, table.shape[0], dtype=np.min_scalar_type(table.size - 1))
         idx[:-1] += temp[1:]
         idx[-1] += temp[0]
-        # reads come only from the snapshot; the result array is built whole
-        self.gen_matrix = table.ravel()[idx].reshape(table.shape)
+        # reads come only from the snapshot; the result array is built whole.
+        # take, not [idx]: fancy indexing with a non-intp index is ~2.5x slower
+        self.gen_matrix = table.ravel().take(idx).reshape(table.shape)
         self.initialized = False
 
     def phase2(self) -> np.ndarray:

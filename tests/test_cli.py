@@ -373,6 +373,8 @@ class TestExitCodes:
         ["gen", "{square}", "--shift-var", "6", "1", "--length", "10", "--stdout"],
         ["compare", "qg:order=8,seed=1,var=9:1", "kiss"],
         ["compare", "qg:order=300,seed=1,const=1", "kiss", "--size", "10"],
+        ["gen", "{square}", "--shift-const", "3", "--length", "10", "--format", "hex", "--out", ""],
+        ["gen", "{square}", "--shift-const", "3", "--length", "10", "--out", ""],
     ])
     def test_data_errors(self, argv, table1_file, capsys):
         argv = [a.format(square=table1_file) for a in argv]

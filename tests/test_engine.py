@@ -78,6 +78,22 @@ class TestPhase1:
         for _ in range(3):
             assert np.array_equal(resumed.next_block(), source.next_block())
 
+    # the flat index needs uint8 up to order 16, uint16 up to 256 and uint32 above
+    @pytest.mark.parametrize("order", [*range(2, 21), 255, 256, 257, 300])
+    def test_matches_reference(self, order):
+        output = OutputMap.BYTES if order <= 256 else OutputMap.SYMBOLS
+        eng = Engine(GeneratorConfig(random_latin_square(order, seed=order), ConstantShift(1), output))
+        table = eng.config.square.table0
+        assert table.dtype == (np.uint8 if order <= 256 else np.uint16)
+        rng = np.random.default_rng(order)
+        matrices = [rng.integers(0, order, size=(order, order), dtype=table.dtype) for _ in range(3)]
+        matrices.append(np.full((order, order), order - 1, dtype=table.dtype))  # index n*n - 1 everywhere
+        for matrix in matrices:
+            eng.gen_matrix = matrix.copy()
+            eng.phase1()
+            assert eng.gen_matrix.dtype == table.dtype
+            assert np.array_equal(eng.gen_matrix, phase1_reference(table, matrix))
+
 
 class TestPhase2:
     def test_row_major_symbols(self, table1_square):
@@ -97,6 +113,14 @@ class TestPhase2:
     def test_order_1_degenerate(self):
         eng = make_engine([[1]], ConstantShift(0))
         assert eng.next_block().tolist() == [1]
+
+
+def phase1_reference(table, matrix):
+    """Phase 1 by its definition, a 2-D lookup of each cell with its row-major
+    successor: the slow reference for Engine.phase1."""
+    n = table.shape[0]
+    flat = matrix.ravel()
+    return table[flat, np.roll(flat, -1)].reshape(n, n)
 
 
 def roll_reference(matrix, shift):
@@ -203,10 +227,12 @@ class TestOracleEquivalence:
             got = [eng.next_block().tolist() for _ in range(3)]
             assert got == oracle_blocks(square.rows(), shift, 3)
 
-    # From order 17 on, a cell index n * symbol no longer fits a uint8 table
-    # (from order 257 on, n * n no longer fits a uint16 one), so only these
-    # orders can show an index built in the table's own dtype.
+    # Phase 1's flat index n * cell + successor tops out at n*n - 1, so its
+    # dtype is uint8 up to order 16, uint16 from 17 to 256 and uint32 from 257.
+    # These orders sit on both sides of those boundaries; from order 17 on, an
+    # index in a dtype too narrow for n*n - 1 (the table's own, say) wraps.
     @pytest.mark.parametrize("order,shift", [
+        (16, ("var", 16, 3)),  # the last uint8 index, byte map
         (17, ("const", 5)),
         (255, ("var", 7, 200)),
         (256, ("var", 1, 256)),
@@ -215,6 +241,7 @@ class TestOracleEquivalence:
         (256, ("const", 65535)),
         (256, ("const", 65536)),
         (256, ("const", 2 * 65536 + 3)),
+        (257, ("const", 257)),  # the first uint32 index, symbol map
         (300, ("var", 300, 299)),  # past the byte map: symbols from a uint16 table
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_orders_that_overflow_a_narrow_index(self, order, shift):
