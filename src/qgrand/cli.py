@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import battery, engine, kiss, latin
+from . import engine, latin  # battery and kiss are imported where used, so gen never loads them
 
 DEFAULT_KISS_SEEDS = (12345, 65435, 34221, 12345)
 
@@ -153,6 +153,8 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
         seeds = rest.split(",") if rest else DEFAULT_KISS_SEEDS
         if len(seeds) != 4:
             raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
+        from . import kiss
+
         try:
             generator = kiss.Kiss(*map(int, seeds))
         except ValueError as exc:  # a non-integer, or a seed Kiss rejects
@@ -167,7 +169,12 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
         shift = parser.add_mutually_exclusive_group(required=True)
         shift.add_argument("--const", dest="shift_const", type=_nonnegative)
         shift.add_argument("--var", dest="shift_var", type=_cell)
-        fields = parser.parse_args(["--" + item for item in filter(None, rest.split(","))])
+        items = list(filter(None, rest.split(",")))
+        keys = [item.partition("=")[0] for item in items]
+        repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+        if repeated:  # argparse would keep the last value, unlike the spec's label
+            raise _UsageError(f"qg spec repeats key {repeated[0]}")
+        fields = parser.parse_args(["--" + item for item in items])
         if (fields.order is None) != (fields.seed is None):
             raise _UsageError("qg spec takes seed= with order= and only with it")
         square = (_load_square(fields.file) if fields.file is not None
@@ -228,6 +235,8 @@ def _cmd_gen(args) -> int:
 
 
 def _run_battery(sources: dict[str, bytes], args) -> int:
+    from . import battery
+
     entries = battery.run_battery(
         sources, sink=sys.stdout, n_matrices=args.n_matrices, n_tuples=args.n_tuples)
     if any(e.error is not None for e in entries):

@@ -7,6 +7,8 @@ every symbol occurs exactly once per row and once per column.  Symbols are
 
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,10 +55,6 @@ class ParseError(LatinSquareError):
         self.col = col
 
 
-def _dtype_for(order: int):
-    return np.uint8 if order <= 256 else np.uint16
-
-
 class LatinSquare:
     """Immutable order-n Latin square.
 
@@ -68,12 +66,12 @@ class LatinSquare:
     __slots__ = ("order", "table0")
 
     def __init__(self, table0: np.ndarray):
+        if table0.ndim != 2 or table0.shape[0] != table0.shape[1] or table0.size == 0:
+            raise NotSquare(f"table of shape {table0.shape} is not n x n with n >= 1")
         n = table0.shape[0]
-        if table0.shape != (n, n):
-            raise NotSquare(f"grid is {table0.shape[0]}x{table0.shape[1]}, not square")
         if n > MAX_ORDER:
             raise LatinSquareError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-        table0 = np.ascontiguousarray(table0, dtype=_dtype_for(n))
+        table0 = np.ascontiguousarray(table0, dtype=np.uint8 if n <= 256 else np.uint16)
         table0.flags.writeable = False
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table0", table0)
@@ -82,11 +80,7 @@ class LatinSquare:
         raise AttributeError("LatinSquare is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LatinSquare)
-            and self.order == other.order
-            and bool(np.array_equal(self.table0, other.table0))
-        )
+        return isinstance(other, LatinSquare) and bool(np.array_equal(self.table0, other.table0))
 
     def __hash__(self):
         return hash((self.order, self.table0.tobytes()))
@@ -98,28 +92,36 @@ class LatinSquare:
         """The table as 1-based row lists."""
         return (self.table0.astype(np.int64) + 1).tolist()
 
-    def _check_symbol(self, value: int, name: str) -> int:
-        if not 1 <= value <= self.order:
-            raise SymbolOutOfRange(f"{name}={value} outside 1..{self.order}")
-        return value
+    def _check_symbols(self, **symbols: int) -> None:
+        for name, value in symbols.items():
+            if not 1 <= value <= self.order:
+                raise SymbolOutOfRange(f"{name}={value} outside 1..{self.order}")
 
     def lookup(self, x: int, y: int) -> int:
         """Table lookup: the symbol in row x, column y (both 1-based)."""
-        self._check_symbol(x, "x")
-        self._check_symbol(y, "y")
+        self._check_symbols(x=x, y=y)
         return int(self.table0[x - 1, y - 1]) + 1
 
     def left_divide(self, x: int, z: int) -> int:
         """The unique y with lookup(x, y) == z."""
-        self._check_symbol(x, "x")
-        self._check_symbol(z, "z")
+        self._check_symbols(x=x, z=z)
         return int(np.nonzero(self.table0[x - 1] == z - 1)[0][0]) + 1
 
     def right_divide(self, z: int, y: int) -> int:
         """The unique x with lookup(x, y) == z."""
-        self._check_symbol(z, "z")
-        self._check_symbol(y, "y")
+        self._check_symbols(z=z, y=y)
         return int(np.nonzero(self.table0[:, y - 1] == z - 1)[0][0]) + 1
+
+
+def _check_row(row, i: int, n: int) -> None:
+    """Raise row i's first violation: a bad cell first, then a repeated symbol."""
+    for j, v in enumerate(row, start=1):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise SymbolOutOfRange(f"entry at ({i},{j}) is not an integer", i, j)
+        if not 1 <= v <= n:
+            raise SymbolOutOfRange(f"entry {v} at ({i},{j}) outside 1..{n}", i, j)
+    if len(set(row)) != n:
+        raise DuplicateInRow(i)
 
 
 def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
@@ -135,18 +137,26 @@ def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-    for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=1):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise SymbolOutOfRange(f"entry at ({i},{j}) is not an integer", i, j)
-            if not 1 <= v <= n:
-                raise SymbolOutOfRange(f"entry {v} at ({i},{j}) outside 1..{n}", i, j)
-        if len(set(row)) != n:
-            raise DuplicateInRow(i)
-    for j in range(1, n + 1):
-        if len({row[j - 1] for row in rows}) != n:
-            raise DuplicateInColumn(j)
-    return LatinSquare(np.array(rows, dtype=np.int64) - 1)
+    types = set(map(type, chain.from_iterable(rows)))
+    if bool not in types and all(issubclass(t, (int, np.integer)) for t in types):
+        with suppress(OverflowError):  # from np.array: an integer beyond int64 is out of range
+            return _latin(np.array(rows, dtype=np.int64))
+    for i, row in enumerate(rows, start=1):  # some cell is invalid, so some row raises
+        _check_row(row, i, n)
+    raise AssertionError("a grid with an invalid cell passed every row check")
+
+
+def _latin(table: np.ndarray) -> LatinSquare:
+    """Wrap an n x n int64 grid of symbols, or raise `validate`'s first violation."""
+    n = len(table)
+    symbols = np.arange(1, n + 1)
+    bad_rows = np.flatnonzero((np.sort(table, axis=1) != symbols).any(axis=1))
+    if bad_rows.size:
+        _check_row(table[bad_rows[0]], int(bad_rows[0]) + 1, n)
+    bad_cols = np.flatnonzero((np.sort(table, axis=0) != symbols[:, None]).any(axis=0))
+    if bad_cols.size:
+        raise DuplicateInColumn(int(bad_cols[0]) + 1)
+    return LatinSquare(table - 1)
 
 
 _MASK64 = (1 << 64) - 1
@@ -172,10 +182,9 @@ class _Mix64:
     def below(self, bound: int) -> int:
         # rejection sampling keeps the draw exactly uniform
         limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            v = self.next_word()
-            if v < limit:
-                return v % bound
+        while (v := self.next_word()) >= limit:
+            pass
+        return v % bound
 
     def permutation(self, n: int) -> list[int]:
         perm = list(range(n))
@@ -197,57 +206,47 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
     if n > MAX_ORDER:
         raise LatinSquareError(f"order {n} exceeds supported maximum {MAX_ORDER}")
     mix = _Mix64(seed)
-    row_perm = np.array(mix.permutation(n), dtype=np.int64)
-    col_perm = np.array(mix.permutation(n), dtype=np.int64)
-    sym_perm = np.array(mix.permutation(n), dtype=np.int64)
-    cyclic = (row_perm[:, None] + col_perm[None, :]) % n
-    return LatinSquare(sym_perm[cyclic])
+    row_perm, col_perm, sym_perm = (np.array(mix.permutation(n), dtype=np.int64) for _ in range(3))
+    return LatinSquare(sym_perm[(row_perm[:, None] + col_perm[None, :]) % n])
 
 
 def to_text(square: LatinSquare) -> str:
     """Serialize: order on the first line, then one space-separated row per line."""
-    lines = [str(square.order)]
-    lines.extend(" ".join(str(v) for v in row) for row in square.rows())
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(square.order), *(" ".join(map(str, row)) for row in square.rows())]) + "\n"
 
 
 def parse_text(text: str) -> LatinSquare:
-    """Parse the text format produced by :func:`to_text`.
-
-    Blank lines and lines starting with '#' are ignored.  The grid is
-    validated, so Latin-property errors surface as their own exception types.
-    """
-    order: int | None = None
-    rows: list[list[int]] = []
-    lineno = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if order is None:
-            if len(tokens) != 1:
-                raise ParseError("expected a single order value", lineno)
-            try:
-                order = int(tokens[0])
-            except ValueError:
-                raise ParseError(f"order {tokens[0]!r} is not an integer", lineno, 1) from None
-            if order < 1:
-                raise ParseError(f"order must be positive, got {order}", lineno, 1)
-            continue
-        if len(rows) == order:
-            raise ParseError("unexpected content after the last row", lineno)
-        if len(tokens) != order:
-            raise ParseError(f"expected {order} symbols, got {len(tokens)}", lineno)
-        row = []
-        for colno, tok in enumerate(tokens, start=1):
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise ParseError(f"symbol {tok!r} is not an integer", lineno, colno) from None
-        rows.append(row)
-    if order is None:
+    """Parse the text format produced by :func:`to_text`, reading each symbol as
+    int() does and ignoring blank lines and lines starting with '#'.  The grid
+    is validated; a Latin-property error is raised only if nothing fails to parse."""
+    lines = text.splitlines()
+    data = [(lineno, stripped.split()) for lineno, stripped in enumerate(map(str.strip, lines), start=1)
+            if stripped and not stripped.startswith("#")]
+    if not data:
         raise ParseError("empty input", 1)
-    if len(rows) != order:
-        raise ParseError(f"expected {order} rows, got {len(rows)}", lineno)
-    return validate(rows)
+    (lineno, head), body = data[0], data[1:]
+    if len(head) != 1:
+        raise ParseError("expected a single order value", lineno)
+    order = _int(head[0], "order", lineno, 1)
+    if order < 1:
+        raise ParseError(f"order must be positive, got {order}", lineno, 1)
+    # the rows above the first line of the wrong shape, whose tokens are reported first
+    k = next((k for k, (_, tokens) in enumerate(body) if k == order or len(tokens) != order), len(body))
+    try:
+        table = np.fromiter(map(int, chain.from_iterable(t for _, t in body[:k])), np.int64, k * order)
+    except (ValueError, OverflowError):  # a bad token, or a symbol beyond int64: find which
+        table = [[_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)]
+                 for lineno, tokens in body[:k]]
+    if k < len(body):
+        raise ParseError("unexpected content after the last row" if k == order
+                         else f"expected {order} symbols, got {len(body[k][1])}", body[k][0])
+    if k != order:
+        raise ParseError(f"expected {order} rows, got {k}", len(lines))
+    return validate(table) if isinstance(table, list) else _latin(table.reshape(order, order))
+
+
+def _int(token: str, what: str, lineno: int, col: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer", lineno, col) from None

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -316,6 +317,8 @@ class TestExitCodes:
         ["compare", "qg:order=8,seed=1,var=1", "kiss"],
         ["compare", "qg:order=8,seed=1,var=0:1", "kiss"],
         ["compare", "qg:order=8,seed=1,const=-1", "kiss"],
+        ["compare", "qg:order=16,seed=1,const=7,const=9", "kiss"],  # a repeated key
+        ["test", "--self-gen", "qg:order=16,seed=1,seed=2,const=7"],
         ["gen", "{square}", "--shift-var", "0", "1", "--length", "10", "--stdout"],
         ["gen", "{square}", "--shift-const", "-1", "--length", "10", "--stdout"],
         ["gen", "{square}", "--shift-const", "2", "--length", "-1", "--stdout"],
@@ -386,6 +389,59 @@ class TestExitCodes:
         code, out, err = run_main(["compare", "qg:order=8,seed=1,const=2,bogus=1", "kiss"], capsys)
         assert (code, out) == (2, "")
         assert err == "qgrand compare: unrecognized arguments: bogus=1\n"
+
+
+_MODULES_AFTER_MAIN = """
+import json, sys
+from qgrand import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qgrand."))]), file=sys.stderr)
+"""
+
+_PUBLIC_NAMES = """
+import sys
+import qgrand
+assert not {"qgrand.battery", "qgrand.kiss"} & set(sys.modules)
+assert set(qgrand.__all__) <= set(dir(qgrand))
+assert {"battery", "engine", "kiss", "latin"} <= set(dir(qgrand))
+assert qgrand.battery.run_battery is sys.modules["qgrand.battery"].run_battery
+assert qgrand.Kiss is sys.modules["qgrand.kiss"].Kiss
+for name in qgrand.__all__:
+    assert getattr(qgrand, name) is getattr(sys.modules[getattr(qgrand, name).__module__], name)
+namespace = {}
+exec("from qgrand import *", namespace)
+assert set(qgrand.__all__) <= set(namespace)
+assert not hasattr(qgrand, "no_such_name")
+print("ok")
+"""
+
+
+class TestImports:
+    """Each command imports only the modules it runs."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["make-square", "8", "--out", "{dir}/sq8.txt"], ["cli", "engine", "latin"]),
+        (["validate-square", "{square}"], ["cli", "engine", "latin"]),
+        (["gen", "{square}", "--shift-const", "3", "--length", "100", "--out", "{dir}/out.bin"],
+         ["cli", "engine", "latin"]),
+        (["gen", "{square}", "--shift-var", "1", "2", "--length", "50", "--format", "symbols"],
+         ["cli", "engine", "latin"]),
+        (["test", "--self-gen", "qg:order=8,seed=1,const=3", "--length", "1000"],
+         ["battery", "cli", "engine", "latin"]),
+        (["compare", "qg:order=8,seed=1,const=3", "kiss", "--size", "1000"],
+         ["battery", "cli", "engine", "kiss", "latin"]),
+    ])
+    def test_modules_loaded_by_each_command(self, argv, expected, table1_file, tmp_path):
+        argv = [a.format(square=table1_file, dir=tmp_path) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+                              capture_output=True, text=True, check=True)
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code in (0, 3, 4)  # the battery may flag or refuse 1000 bytes
+        assert modules == [f"qgrand.{m}" for m in expected]
+
+    def test_public_names_resolve_on_first_use(self):
+        proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 class TestTest:
