@@ -10,6 +10,7 @@ clock or the OS.
 from __future__ import annotations
 
 import argparse
+import binascii
 import contextlib
 import io
 import sys
@@ -220,7 +221,7 @@ def _cmd_gen(args) -> int:
     glyphs = np.array([b" %d" % s for s in range(config.square.order + 1)])  # " s", NUL-padded (S dtype)
     encode = {
         "bytes": lambda block: block,  # the block's own buffer, not a copy
-        "hex": lambda block: block.tobytes().hex().encode("ascii"),
+        "hex": binascii.hexlify,  # reads the block's buffer
         "symbols": lambda block: glyphs.take(block).tobytes().translate(None, b"\0"),
     }[args.format]
     skip = int(args.format == "symbols")  # the stream's first symbol has no leading space

@@ -17,6 +17,7 @@ values; truncating a stream drops only the tail of the final block.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
@@ -163,9 +164,6 @@ def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
         raise OrderTooLargeForBytes(f"order {config.square.order} > 256")
     if config.output_map is not OutputMap.BYTES:
         raise ValueError("generate() requires the byte output mapping")
-    out = bytearray(length_bytes)
-    view, pos = memoryview(out), 0
-    for block in blocks(config, length_bytes):  # one buffer: no per-block bytes objects
-        view[pos : pos + block.size] = block
-        pos += block.size
-    return bytes(out)
+    out = io.BytesIO()
+    out.writelines(blocks(config, length_bytes))
+    return out.getvalue()  # with no view of it alive, BytesIO hands over its own buffer, uncopied

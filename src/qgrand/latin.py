@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_ORDER = 65536
+_INT64_MIN = int(np.iinfo(np.int64).min)  # its symbol-1 would wrap, so validate names it on the slow path
 
 
 class LatinSquareError(ValueError):
@@ -59,8 +60,8 @@ class LatinSquare:
     """Immutable order-n Latin square.
 
     `table0` is the read-only numpy grid holding symbol-1 values, so an
-    order-256 square occupies exactly 256*256 one-byte cells.  Use
-    :func:`validate` or :func:`random_latin_square` to construct one.
+    order-256 square occupies exactly 256*256 one-byte cells.  The constructor
+    checks a table before narrowing it, raising what `validate(table0 + 1)` would.
     """
 
     __slots__ = ("order", "table0")
@@ -71,6 +72,14 @@ class LatinSquare:
         n = table0.shape[0]
         if n > MAX_ORDER:
             raise LatinSquareError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+        if table0.dtype.kind not in "iu":  # as in validate, no float or bool cell is an integer
+            raise SymbolOutOfRange("entry at (1,1) is not an integer", 1, 1)
+        bad_rows = np.flatnonzero((np.sort(table0, axis=1) != np.arange(n)).any(axis=1))
+        if bad_rows.size:  # named in 1-based symbols, as Python ints: no wrap
+            _check_row([v + 1 for v in table0[bad_rows[0]].tolist()], int(bad_rows[0]) + 1, n)
+        bad_cols = np.flatnonzero((np.sort(table0, axis=0) != np.arange(n)[:, None]).any(axis=0))
+        if bad_cols.size:
+            raise DuplicateInColumn(int(bad_cols[0]) + 1)
         table0 = np.ascontiguousarray(table0, dtype=np.uint8 if n <= 256 else np.uint16)
         table0.flags.writeable = False
         object.__setattr__(self, "order", n)
@@ -140,23 +149,11 @@ def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
     types = set(map(type, chain.from_iterable(rows)))
     if bool not in types and all(issubclass(t, (int, np.integer)) for t in types):
         with suppress(OverflowError):  # from np.array: an integer beyond int64 is out of range
-            return _latin(np.array(rows, dtype=np.int64))
+            if (table := np.array(rows, dtype=np.int64)).min() > _INT64_MIN:
+                return LatinSquare(table - 1)
     for i, row in enumerate(rows, start=1):  # some cell is invalid, so some row raises
         _check_row(row, i, n)
     raise AssertionError("a grid with an invalid cell passed every row check")
-
-
-def _latin(table: np.ndarray) -> LatinSquare:
-    """Wrap an n x n int64 grid of symbols, or raise `validate`'s first violation."""
-    n = len(table)
-    symbols = np.arange(1, n + 1)
-    bad_rows = np.flatnonzero((np.sort(table, axis=1) != symbols).any(axis=1))
-    if bad_rows.size:
-        _check_row(table[bad_rows[0]], int(bad_rows[0]) + 1, n)
-    bad_cols = np.flatnonzero((np.sort(table, axis=0) != symbols[:, None]).any(axis=0))
-    if bad_cols.size:
-        raise DuplicateInColumn(int(bad_cols[0]) + 1)
-    return LatinSquare(table - 1)
 
 
 _MASK64 = (1 << 64) - 1
@@ -206,8 +203,9 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
     if n > MAX_ORDER:
         raise LatinSquareError(f"order {n} exceeds supported maximum {MAX_ORDER}")
     mix = _Mix64(seed)
-    row_perm, col_perm, sym_perm = (np.array(mix.permutation(n), dtype=np.int64) for _ in range(3))
-    return LatinSquare(sym_perm[(row_perm[:, None] + col_perm[None, :]) % n])
+    row_perm, col_perm, sym_perm = (mix.permutation(n) for _ in range(3))
+    # uint16 holds every symbol-1 up to MAX_ORDER, and numpy sorts it faster than uint8 or int64
+    return LatinSquare(np.array(sym_perm, dtype=np.uint16)[np.add.outer(row_perm, col_perm) % n])
 
 
 def to_text(square: LatinSquare) -> str:
@@ -242,7 +240,9 @@ def parse_text(text: str) -> LatinSquare:
                          else f"expected {order} symbols, got {len(body[k][1])}", body[k][0])
     if k != order:
         raise ParseError(f"expected {order} rows, got {k}", len(lines))
-    return validate(table) if isinstance(table, list) else _latin(table.reshape(order, order))
+    if isinstance(table, np.ndarray) and table.min() > _INT64_MIN:
+        return LatinSquare(table.reshape(order, order) - 1)
+    return validate(table if isinstance(table, list) else table.reshape(order, order))  # see _INT64_MIN
 
 
 def _int(token: str, what: str, lineno: int, col: int) -> int:

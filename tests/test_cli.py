@@ -13,6 +13,7 @@ from qgrand import (
     Engine,
     GeneratorConfig,
     OutputMap,
+    VariableShift,
     generate,
     random_latin_square,
     to_text,
@@ -238,6 +239,15 @@ class TestGenSinglePath:
         square.write_text(to_text(seed_square))
         argv = ["gen", square, "--shift-var", 1, order, "--length", length, "--format", "symbols", "--stdout"]
         assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
+
+    def test_hex_at_order_256_over_several_blocks(self, tmp_path, capfdbinary):
+        seed_square = random_latin_square(256, seed=256)
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(seed_square))
+        length = 2 * 65536 + 777
+        want = generate(GeneratorConfig(seed_square, VariableShift(3, 9)), length).hex() + "\n"
+        argv = ["gen", square, "--shift-var", 3, 9, "--length", length, "--format", "hex", "--stdout"]
+        assert run_main(argv, capfdbinary) == (0, want.encode(), b"")
 
     @pytest.mark.parametrize("sink", ["--out", "--stdout"])
     def test_raw_bytes_at_order_256(self, tmp_path, capfdbinary, sink):
@@ -466,6 +476,17 @@ class TestTest:
         assert result.returncode == 0, result.stdout + result.stderr
         lines = [l for l in result.stdout.decode().splitlines() if "\t" in l]
         assert len(lines) == 4
+
+    def test_self_gen_holds_its_stream_once(self):
+        # 30 MB more stream; a second whole copy of it would add 60 MB
+        def peak_rss_kib(length):
+            code, kib = run_peak_rss([sys.executable, "-m", "qgrand", "test", "--self-gen",
+                                      "qg:order=256,seed=1,const=7", "--length", length])
+            assert code == 0
+            return kib
+
+        small, large = peak_rss_kib(10_000_000), peak_rss_kib(40_000_000)
+        assert (large - small) * 1024 < 1.5 * 30_000_000, (small, large)
 
     def test_input_and_self_gen_are_exclusive(self, tmp_path):
         path = tmp_path / "zeros.bin"

@@ -93,6 +93,30 @@ class TestValidate:
         assert str(exc.value) == f"entry {2**64} at (2,2) outside 1..2"
         with pytest.raises(SymbolOutOfRange, match=f"entry {2**64} at"):
             parse_text(f"2\n1 2\n2 {2**64}\n")
+        with pytest.raises(SymbolOutOfRange, match=f"entry {2**63} at"):  # beside a negative symbol
+            parse_text(f"2\n{2**63} -1\n1 2\n")
+
+    def test_most_negative_int64_is_named_as_given(self):
+        # 1 less than -2**63 is no int64, so building the 0-based table must not wrap it
+        with pytest.raises(SymbolOutOfRange) as exc:
+            validate([[-2**63, 1], [1, 2]])
+        assert str(exc.value) == "entry -9223372036854775808 at (1,1) outside 1..2"
+        with pytest.raises(SymbolOutOfRange) as exc:
+            parse_text("2\n-9223372036854775808 1\n1 2\n")
+        assert str(exc.value) == "entry -9223372036854775808 at (1,1) outside 1..2"
+
+    @pytest.mark.parametrize("table, error", [
+        (np.array([[300, 1], [1, -1]]), (SymbolOutOfRange, "entry 301 at (1,1) outside 1..2", {"row": 1, "col": 1})),
+        (np.array([[256, 1], [1, 0]], dtype=np.uint16),  # 256 would wrap to 0 in uint8
+         (SymbolOutOfRange, "entry 257 at (1,1) outside 1..2", {"row": 1, "col": 1})),
+        (np.array([[0, 1, 2], [0, 1, 2], [1, 2, 0]]), (DuplicateInColumn, "column 1 repeats a symbol", {"col": 1})),
+        (np.array([[0, 0, 1], [1, 1, 2], [2, 2, 0]]), (DuplicateInRow, "row 1 repeats a symbol", {"row": 1})),
+        (np.array([[0, 1], [1, 0.5]]), (SymbolOutOfRange, "entry at (1,1) is not an integer", {"row": 1, "col": 1})),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]),
+         (SymbolOutOfRange, "entry at (1,1) is not an integer", {"row": 1, "col": 1})),
+    ], ids=["out-of-range", "wraps-in-uint8", "repeated-row", "repeated-column", "float-half", "float"])
+    def test_constructor_checks_the_latin_property(self, table, error):
+        assert _outcome(LatinSquare, table) == error
 
     def test_row_violations_reported_before_columns(self):
         # row 2 duplicate and column 1 duplicate; the row wins
@@ -336,7 +360,7 @@ def _outcome(fn, arg):
     return square.table0.dtype, square.table0.tolist()
 
 
-_OUT_OF_RANGE = [0, -1, 2**63, 2**70, np.int64(-7), np.uint64(2**64 - 1)]
+_OUT_OF_RANGE = [0, -1, -2**63, 2**63, 2**70, np.int64(-7), np.uint64(2**64 - 1)]
 _BAD_TOKENS = ["x", "1.5", "0x1", "1__0", "_1", "--1", "1e2", "١x"]
 
 
@@ -409,7 +433,13 @@ class TestAgainstReference:
     @given(rows=mutated_grids())
     @settings(max_examples=400, deadline=None)
     def test_validate(self, rows):
-        assert _outcome(validate, rows) == _outcome(validate_reference, rows)
+        expected = _outcome(validate_reference, rows)
+        assert _outcome(validate, rows) == expected
+        # the constructor checks a 0-based table the same way, where one exists in int64
+        if all(len(row) == len(rows) for row in rows) and all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) and -2**63 < v < 2**63
+                for row in rows for v in row):
+            assert _outcome(LatinSquare, np.array(rows, dtype=np.int64) - 1) == expected
 
     @given(text=mutated_texts())
     @settings(max_examples=400, deadline=None)
