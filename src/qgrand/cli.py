@@ -149,9 +149,12 @@ def _load_square(path: str) -> latin.LatinSquare:
 
 def _parse_genspec(spec: str) -> Callable[[int], bytes]:
     """Turn a generator spec string into produce(length) -> bytes."""
-    kind, _, rest = spec.partition(":")
+    kind, colon, rest = spec.partition(":")
+    items = rest.split(",") if colon else []
+    if "" in items:  # "kiss:", "qg:order=8,,seed=1" or a trailing comma
+        raise _UsageError(f"generator spec {spec!r} has an empty field")
     if kind == "kiss":
-        seeds = rest.split(",") if rest else DEFAULT_KISS_SEEDS
+        seeds = items or DEFAULT_KISS_SEEDS
         if len(seeds) != 4:
             raise _UsageError(f"kiss needs 4 seeds, got {len(seeds)}")
         from . import kiss
@@ -170,7 +173,6 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
         shift = parser.add_mutually_exclusive_group(required=True)
         shift.add_argument("--const", dest="shift_const", type=_nonnegative)
         shift.add_argument("--var", dest="shift_var", type=_cell)
-        items = list(filter(None, rest.split(",")))
         keys = [item.partition("=")[0] for item in items]
         repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
         if repeated:  # argparse would keep the last value, unlike the spec's label

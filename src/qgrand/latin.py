@@ -74,6 +74,8 @@ class LatinSquare:
             raise LatinSquareError(f"order {n} exceeds supported maximum {MAX_ORDER}")
         if table0.dtype.kind not in "iu":  # as in validate, no float or bool cell is an integer
             raise SymbolOutOfRange("entry at (1,1) is not an integer", 1, 1)
+        if table0.itemsize == 1:  # exact; numpy sorts int16 ~10-40x faster than 8-bit integers
+            table0 = table0.astype(np.int16)
         bad_rows = np.flatnonzero((np.sort(table0, axis=1) != np.arange(n)).any(axis=1))
         if bad_rows.size:  # named in 1-based symbols, as Python ints: no wrap
             _check_row([v + 1 for v in table0[bad_rows[0]].tolist()], int(bad_rows[0]) + 1, n)

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +357,8 @@ class TestExitCodes:
         "kiss:1,2,3,4294967295",
         "kiss:4294967296,2,3,4",
         "kiss:1,2,3,-1",
+        "kiss:",  # an empty field, not the default seeds
+        "kiss:1,2,3,4,",
         "qg:order=65537,seed=1,const=1",
         "qg:order=8,seed=18446744073709551616,const=1",
         "qg:order=8,seed=-1,const=1",
@@ -426,8 +430,16 @@ print("ok")
 """
 
 
+_ENTRY_STATE = """
+import os, sys
+import {modules}
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
 class TestImports:
-    """Each command imports only the modules it runs."""
+    """Each command imports only the modules it runs, and only the entry point
+    sets a default in the environment."""
 
     @pytest.mark.parametrize("argv,expected", [
         (["make-square", "8", "--out", "{dir}/sq8.txt"], ["cli", "engine", "latin"]),
@@ -452,6 +464,25 @@ class TestImports:
     def test_public_names_resolve_on_first_use(self):
         proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("modules,preset,expected", [
+        ("qgrand", None, "None False"),  # no numpy yet, so the entry point's default comes first
+        ("qgrand.__main__", None, "1 True"),  # and the CLI does not run on import
+        ("qgrand.__main__", "3", "3 True"),  # a value the user set wins
+        ("qgrand, qgrand.cli", None, "None True"),  # a library import leaves its host's BLAS alone
+    ])
+    def test_blas_thread_default_set_by_the_entry_point_only(self, modules, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_STATE.format(modules=modules)],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+
+    def test_installed_script_takes_the_entry_path(self):
+        # a text match: tomllib is not on Python 3.10
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^qgrand = "qgrand\.__main__:run"$', pyproject, re.MULTILINE)
 
 
 class TestTest:
@@ -542,8 +573,11 @@ class TestCompare:
             "qg:order=8,seed=1,const=2,var=1:1",  # both shifts
             "qg:seed=1,const=2",                # no square source
             "qg:order=8,seed=1,const=2,bogus=1",
+            "qg:order=16,,seed=1,const=1",      # an empty field
+            "qg:order=16,seed=1,const=1,",      # a trailing empty field
         ):
-            assert run_cli("compare", spec, "kiss", "--size", 1000).returncode == 2
+            result = run_cli("compare", spec, "kiss", "--size", 1000)
+            assert (result.returncode, len(result.stderr.splitlines())) == (2, 1), (spec, result.stderr)
 
     def test_square_file_in_spec(self, tmp_path, table1_file):
         # order-5 bytes only span 0..4, so the battery must flag the stream

@@ -118,6 +118,20 @@ class TestValidate:
     def test_constructor_checks_the_latin_property(self, table, error):
         assert _outcome(LatinSquare, table) == error
 
+    @pytest.mark.parametrize("table0", [
+        random_latin_square(256, seed=5).table0,
+        np.array(TABLE1) - 1,
+        [[0, 1, 2], [0, 1, 2], [1, 2, 0]],
+        [[0, 0, 1], [1, 1, 2], [2, 2, 0]],
+        [[127, 1], [1, 0]],
+    ], ids=["order-256", "table1", "repeated-column", "repeated-row", "out-of-range"])
+    def test_one_byte_tables_read_as_wider_ones(self, table0):
+        # the constructor sorts a one-byte table widened to int16: only the time may differ
+        for narrow, wide in ((np.uint8, np.uint16), (np.int8, np.int16)):
+            if np.max(table0) > np.iinfo(narrow).max:  # order 256 has no int8 table
+                continue
+            assert _outcome(LatinSquare, np.asarray(table0, narrow)) == _outcome(LatinSquare, np.asarray(table0, wide))
+
     def test_row_violations_reported_before_columns(self):
         # row 2 duplicate and column 1 duplicate; the row wins
         grid = [[1, 2, 3], [1, 1, 2], [2, 3, 1]]
