@@ -110,13 +110,15 @@ def _ranks(rows):
 
     Pass i takes row i's lowest set bit as its pivot (a zero row has none
     and adds no rank) and XORs row i into every later row holding that bit.
-    Row i is already clear of all earlier pivots, so they stay cleared."""
+    Row i is already clear of all earlier pivots, so they stay cleared.
+    No bit of row i lies below its pivot, so row i is exactly pivot * q."""
     rank = 0
     for i, r in enumerate(rows):
         pivot = r & (0 - r)
         rank = rank + (pivot != 0)
+        q = r // (pivot | (pivot == 0))  # a zero row divides by 1, not 0
         for j in range(i + 1, len(rows)):  # one row at a time: no (size, M) temporaries
-            rows[j] ^= ((rows[j] & pivot) != 0) * r
+            rows[j] ^= (rows[j] & pivot) * q  # row i where row j holds the pivot
     return rank
 
 

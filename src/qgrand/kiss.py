@@ -13,48 +13,57 @@ as numpy lanes.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 _M32 = (1 << 32) - 1
-_LANES = 1024  # generator copies next_bytes steps side by side
-# Each MWC is an LCG modulo p = a * 2^16 - 1 with multiplier 2^-16 mod p
+_MAX_LANES = 1 << 14  # most generator copies next_bytes steps side by side
+_MIN_LANES = 64  # fewer lanes make the words slower than next_word() does
+_LANE_WORDS = 16  # next_bytes starts about one lane per this many words
+# Each MWC is an LCG modulo p = a * 2^16 - 1 with multiplier 2^-16 = a mod p
 # (Couture & L'Ecuyer 1997): for a state at most p, k steps multiply it by
-# 2^(-16k) mod p.
-_PZ = 36969 * 65536 - 1
-_PW = 18000 * 65536 - 1
+# a^k mod p.  Rows are z's then w's.
+_MWC_A = np.array([[36969], [18000]], dtype=np.uint32)
+_MWC_P = _MWC_A.astype(np.uint64) * 65536 - 1
+_BITS = np.arange(32, dtype=np.uint32)
 
 
-def _gf2_apply(cols: list[int], v: int) -> int:
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    """One 13/17/5 xorshift step on each uint32 of v, in place."""
+    v ^= v << 13
+    v ^= v >> 17
+    v ^= v << 5
+    return v
+
+
+def _gf2_apply(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A 32x32 matrix over GF(2), given as the images of the unit vectors
-    1 << b, applied to the 32-bit vector v."""
-    out = 0
-    for col in cols:
-        if v & 1:
-            out ^= col
-        v >>= 1
-    return out
+    1 << b, applied to each 32-bit vector in v."""
+    bits = np.right_shift(v[..., None], _BITS, dtype=np.uint32)
+    bits &= 1
+    bits *= cols
+    return np.bitwise_xor.reduce(bits, axis=-1)
 
 
-def _jump(k: int) -> tuple[int, int, list[int], int, int]:
-    """The maps that advance each component k steps: the LCG's affine
-    (mul, add), the xorshift's matrix (its k-th power; the xorshift is
-    F2-linear, Haramoto et al. 2008), and the two MWC multipliers."""
-    mul, add, a, c = 1, 0, 69069, 12345
-    cols = [1 << b for b in range(32)]
-    step = np.uint32(1) << np.arange(32, dtype=np.uint32)  # one xorshift step on each 1 << b
-    step ^= step << 13
-    step ^= step >> 17
-    step ^= step << 5
-    step = step.tolist()
-    e = k
-    while e:
-        if e & 1:
-            mul, add = (a * mul) & _M32, (a * add + c) & _M32
-            cols = [_gf2_apply(step, col) for col in cols]
-        a, c = (a * a) & _M32, (a * c + c) & _M32
-        step = [_gf2_apply(step, col) for col in step]
-        e >>= 1
-    return mul, add, cols, pow(2, -16 * k, _PZ), pow(2, -16 * k, _PW)
+# The maps of one step: the LCG's affine (mul, add), the xorshift's matrix
+# (the xorshift is F2-linear, Haramoto et al. 2008) and the MWC multipliers.
+_STEP = (69069, 12345, _xorshift(np.uint32(1) << _BITS), _MWC_A.astype(np.uint64))
+
+
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The maps of g's jump followed by f's."""
+    mul, add, cols, mwc = f
+    return mul * g[0] & _M32, (mul * g[1] + add) & _M32, _gf2_apply(cols, g[2]), mwc * g[3] % _MWC_P
+
+
+def _jump(k: int) -> tuple:
+    """The maps that advance the generator k >= 1 steps."""
+    if k == 1:
+        return _STEP
+    half = _jump(k // 2)
+    maps = _compose(half, half)
+    return _compose(_STEP, maps) if k & 1 else maps
 
 
 class Kiss:
@@ -90,40 +99,49 @@ class Kiss:
         """Emit `length` bytes; whole words are consumed, the last may be cut.
 
         The bytes and the final state equal those of repeated next_word()
-        calls.  The first words (at least two, fewer than _LANES + 2) come
-        from next_word(); then _LANES copies of the generator are jumped
-        ahead to offsets 0, K, 2K, ... and stepped K times in lockstep, lane
-        j writing words j*K .. j*K+K-1.  Every lane gets exactly K words, so
-        the last lane ends in the final state."""
+        calls.  next_word() makes two words; the rest go to `lanes` copies of
+        the generator, the largest power of two at most rest / _LANE_WORDS
+        and _MAX_LANES (none under _MIN_LANES: next_word() makes them all).
+        The copies are jumped ahead to offsets 0, K, 2K, ... by doubling and
+        stepped K times in lockstep, lane j writing words j*K .. j*K+K-1
+        straight into the buffer returned.  The last lanes may run past
+        `length`; the state kept is the one after the last word returned."""
         if length < 0:
             raise ValueError("length must be >= 0")
         count = -(-length // 4)
-        k = max(count - 2, 0) // _LANES  # words per lane
-        head = count - _LANES * k  # at least 2 when there are lanes
-        words = np.empty(count, dtype=">u4")
-        for i in range(head):
-            words[i] = self.next_word()
-        if k:
-            # the MWC jump needs z and w at most their moduli, which two steps ensure
-            mul, add, cols, fz, fw = _jump(k)
-            starts = []
-            x, y, z, w = self.x, self.y, self.z, self.w
-            for _ in range(_LANES):
-                starts.append((x, y, z, w))
-                x = (mul * x + add) & _M32
-                y = _gf2_apply(cols, y)
+        rest = max(count - 2, 0)
+        lanes = min(1 << (rest // _LANE_WORDS).bit_length() >> 1, _MAX_LANES)
+        lanes = lanes if lanes >= _MIN_LANES else 0
+        k = -(-rest // lanes) if lanes else 0  # words per lane
+        head = [self.next_word() for _ in range(2 if lanes else count)]
+        # the MWC jump needs z and w at most their moduli, which two steps ensure
+        s = np.array([[self.x], [self.y], [self.z], [self.w]], dtype=np.uint64)
+        if lanes > 1:
+            maps = _jump(k)
+            while s.shape[1] < lanes:  # lane j starts j*K words on
+                mul, add, cols, mwc = maps
+                zw = s[2:] * mwc % _MWC_P
                 # a state equal to its modulus is a fixed point, not 0
-                z = z * fz % _PZ or z
-                w = w * fw % _PW or w
-            x, y, z, w = np.array(list(zip(*starts)), dtype=np.uint32)
-            lanes = words[head:].reshape(_LANES, k)  # row j is lane j's output, in order
-            for i in range(k):
-                x = x * 69069 + 12345
-                y ^= y << 13
-                y ^= y >> 17
-                y ^= y << 5
-                z = 36969 * (z & 0xFFFF) + (z >> 16)
-                w = 18000 * (w & 0xFFFF) + (w >> 16)
-                lanes[:, i] = x + y + (z << 16) + w
-            self.x, self.y, self.z, self.w = (int(v[-1]) for v in (x, y, z, w))
-        return words.view(np.uint8)[:length].tobytes()
+                jumped = (mul * s[0] + add) & _M32, _gf2_apply(cols, s[1]), np.where(zw, zw, s[2:])
+                s = np.hstack((s, np.vstack(jumped)))
+                maps = _compose(maps, maps)
+        s = s.astype(np.uint32)
+        x, y, zw = s[0], s[1], s[2:]
+        buf = io.BytesIO(bytes(4 * (len(head) + lanes * k)))
+        words = np.frombuffer(buf.getbuffer(), dtype=">u4")
+        words[: len(head)] = head
+        out = words[len(head) :].reshape(lanes, k)  # row j is lane j's output, in order
+        for i in range(k):
+            x *= 69069
+            x += 12345
+            _xorshift(y)
+            carry = zw >> 16
+            zw &= 0xFFFF
+            zw *= _MWC_A
+            zw += carry
+            out[:, i] = x + y + (zw[0] << 16) + zw[1]
+            if i == (rest - 1) % k:  # the step of lane (rest - 1) // K that makes the last word
+                self.x, self.y, self.z, self.w = s[:, (rest - 1) // k].tolist()
+        del words, out  # drop the buffer's views, so that getvalue() hands it over uncopied
+        buf.truncate(length)
+        return buf.getvalue()

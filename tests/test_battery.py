@@ -183,6 +183,29 @@ class TestBatchedRanks:
         assert ranks.tolist() == [naive_rank(_word_grid(row, size)) for row in words]
         assert len(set(ranks.tolist())) > 5  # the stack spans many ranks, not only full-ish
 
+    @pytest.mark.parametrize("size", [31, 32])
+    def test_zero_repeated_and_single_bit_rows(self, size):
+        """Each row zero, one bit (the top and bottom bits included), a copy
+        of an earlier row or random: pivots whose row is 0, the pivot itself
+        or a multiple of it, on the batched and the Python-int path."""
+        rng = np.random.default_rng(size + 100)
+        words = np.zeros((200, size), dtype=np.uint32)
+        words[1] = 1 << (size - 1)  # every row the top bit: rank 1
+        words[2] = [1 << i for i in range(size)]  # the bottom bit first: full rank
+        for m in range(3, 200):
+            for i in range(size):
+                kind = int(rng.integers(4))
+                if kind == 1:
+                    words[m, i] = 1 << int(rng.integers(size))
+                elif kind == 2 and i:
+                    words[m, i] = words[m, int(rng.integers(i))]
+                elif kind == 3:
+                    words[m, i] = int(rng.integers(2**size))
+        want = [naive_rank(_word_grid(row, size)) for row in words]
+        assert want[:3] == [0, 1, size]
+        assert _ranks(np.ascontiguousarray(words.T)).tolist() == want
+        assert [gf2_rank(BitMatrix.from_grid(_word_grid(row, size))) for row in words] == want
+
     def test_gf2_rank_wider_than_64_bits(self):
         rng = np.random.default_rng(70)
         grid = rng.integers(0, 2, size=(70, 100))

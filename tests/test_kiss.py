@@ -1,8 +1,11 @@
+import functools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrand import Kiss
+from qgrand import Kiss, kiss
 
 M32 = (1 << 32) - 1
 
@@ -127,8 +130,32 @@ GATE_SEEDS = [
     (5, 6, MWC_Z, MWC_W),
     (5, 6, MWC_Z + 1, MWC_W + 1),
 ]
-# 4104 and 12297 put 1 and 3 words in each lane; 100003 needs lanes and a long scalar head
-GATE_LENGTHS = list(range(10)) + [4097, 4104, 12297, 100003]
+# next_bytes makes two words with next_word() and splits the other `rest`
+# among the largest power of two of lanes at most rest / 16 and 2^14, so
+# K = ceil(rest / lanes) words each (K >= 16); under 64 lanes, next_word()
+# makes every word. The lane count changes at 16 * 2^m + 2 words: each such
+# count, with a cut last word, and the count below it, from the longest
+# all-scalar call (1025 words, 4097 and 4100 bytes) to 2^14 lanes.
+LANE_BOUNDARIES = [n for m in range(6, 15) for n in (4 * (16 * 2**m + 1), 4 * (16 * 2**m + 2) - 3)]
+GATE_LENGTHS = list(range(10)) + [4097, 4104, 12297, 100003] + LANE_BOUNDARIES + [
+    4160,  # 64 lanes, K = 17: the last lane used is cut after its first word, 2 lanes run past
+    4221,  # and the same lane cut after its last word, which is itself cut to 1 byte
+    2097161,  # 2^14 lanes, not 2^15, with K = 33
+]
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_run(seeds):
+    """The next_word() stream from `seeds` up to the longest gate length, and
+    the state after every word count a gate length needs."""
+    gen = Kiss(*seeds)
+    counts = {-(-length // 4) for length in GATE_LENGTHS}
+    stream, states = bytearray(), {0: state(gen)}
+    for count in range(1, max(counts) + 1):
+        stream += gen.next_word().to_bytes(4, "big")
+        if count in counts:
+            states[count] = state(gen)
+    return bytes(stream), states
 
 
 def scalar_bytes(gen, length):
@@ -144,15 +171,43 @@ class TestBytesMatchNextWord:
     @pytest.mark.parametrize("length", GATE_LENGTHS)
     @pytest.mark.parametrize("seeds", GATE_SEEDS)
     def test_bytes_and_final_state(self, seeds, length):
-        fast, slow = Kiss(*seeds), Kiss(*seeds)
-        assert fast.next_bytes(length) == scalar_bytes(slow, length)
-        assert state(fast) == state(slow)
+        stream, states = scalar_run(seeds)
+        fast = Kiss(*seeds)
+        assert fast.next_bytes(length) == stream[:length]
+        assert state(fast) == states[-(-length // 4)]
 
     @pytest.mark.parametrize("seeds", GATE_SEEDS)
     def test_calls_concatenate_on_word_boundaries(self, seeds):
         a, b = 4 * 5000, 100003
-        gen = Kiss(*seeds)
-        assert gen.next_bytes(a) + gen.next_bytes(b) == Kiss(*seeds).next_bytes(a + b)
+        gen, slow = Kiss(*seeds), Kiss(*seeds)
+        assert gen.next_bytes(a) + gen.next_bytes(b) == scalar_bytes(slow, a + b)
+        assert state(gen) == state(slow)
+
+    @pytest.mark.parametrize("lane_words,length", [(16, 72), (16, 132)] + [
+        (1, length) for length in (12, 13, 20, 4 * 66, 4 * 67 - 1, 4 * (2**14 + 2), 4 * (2**15 + 2))
+    ])
+    @pytest.mark.parametrize("seeds", GATE_SEEDS[:1] + GATE_SEEDS[3:4])
+    def test_lane_geometries_next_bytes_does_not_choose(self, monkeypatch, seeds, lane_words, length):
+        """With no lane minimum: a single lane (18 to 33 words at 16 words per
+        lane), and a lane per word, where K is 1 when rest is a power of two
+        and 2 otherwise, so each lane start is checked by a word of its own;
+        the last length would take 2^15 lanes without the cap."""
+        monkeypatch.setattr(kiss, "_MIN_LANES", 1)
+        monkeypatch.setattr(kiss, "_LANE_WORDS", lane_words)
+        fast, slow = Kiss(*seeds), Kiss(*seeds)
+        assert fast.next_bytes(length) == scalar_bytes(slow, length)
+        assert state(fast) == state(slow)
+
+    def test_peak_memory_is_the_output(self):
+        """The words are written into the buffer that is returned: no copy."""
+        length = 8_000_000
+        tracemalloc.start()
+        try:
+            Kiss(1, 2, 3, 4).next_bytes(length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * length + 2**20
 
     @given(
         x=st.integers(0, M32),
