@@ -175,8 +175,12 @@ def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> Te
     if n_matrices < 1:
         raise ValueError("n_matrices must be >= 1")
     words = _words(data, n_matrices * size).reshape(n_matrices, size)
-    # one copy both drops the low bit for 31x31 and transposes
-    ranks = _ranks(np.right_shift(words.T, 32 - size, order="C"))
+    # one transposing copy in ~32 KiB bands that stay in cache, then 31x31 drops its low bit
+    rows, band = np.empty((size, n_matrices), np.uint32), (1 << 15) // words.strides[0]
+    for i in range(0, n_matrices, band):
+        rows[:, i : i + band] = words[i : i + band].T
+    rows >>= 32 - size
+    ranks = _ranks(rows)
     classes = np.minimum(size - ranks, 3)
     expected = [p * n_matrices for p in rank_class_probabilities(size)]
     return _result(f"rank_{size}x{size}", ("full", "full-1", "full-2", "rest"), classes, expected)

@@ -80,7 +80,14 @@ def transpose_rotate(matrix: np.ndarray, shift: int) -> np.ndarray:
     """The phase-3 matrix transform: transpose, flatten row-major, rotate the
     stream right by `shift` (old position p lands at (p+shift) mod n*n),
     refill row-major.  Value-agnostic."""
-    flat = matrix.T.ravel()
+    stride = matrix.strides[0]
+    if stride > 0 and stride % 256 == 0:  # a column of such rows sits in few L1 sets: copy ~32 KiB bands
+        flat = np.empty(matrix.size, matrix.dtype)
+        out, rows = flat.reshape(matrix.shape[::-1]), max(1, (1 << 15) // stride)
+        for i in range(0, len(matrix), rows):
+            out[:, i : i + rows] = matrix[i : i + rows].T
+    else:
+        flat = matrix.T.ravel()
     cut = flat.size - shift % flat.size  # two slices: np.roll's generic axis handling costs more
     return np.concatenate((flat[cut:], flat[:cut])).reshape(matrix.shape)
 

@@ -251,7 +251,29 @@ class TestRankClassProbabilities:
             rank_class_probabilities(9)
 
 
+@pytest.fixture(scope="module")
+def rank_band_stacks():
+    """Per size, 265 matrices' words as the rank test reads them (31x31 words
+    carry a random low bit it must drop), and each matrix's rank class from
+    naive_rank."""
+    stacks = {}
+    for size in (31, 32):
+        words = _rank_stack(size, 265, seed=size + 7).astype(np.uint64)
+        low = np.random.default_rng(size).integers(0, 2, size=words.shape, dtype=np.uint64) * (size == 31)
+        data = (words << np.uint64(32 - size) | low).astype(">u4").tobytes()
+        stacks[size] = data, [min(size - naive_rank(_word_grid(row, size)), 3) for row in words]
+    return stacks
+
+
 class TestBinaryRankTest:
+    # the layout copies 264 matrices per band at 31x31 and 256 at 32x32
+    @pytest.mark.parametrize("size", [31, 32])
+    @pytest.mark.parametrize("n_matrices", [1, 255, 256, 257, 263, 264, 265])
+    def test_counts_match_naive_ranks_across_band_edges(self, rank_band_stacks, size, n_matrices):
+        data, classes = rank_band_stacks[size]
+        result = binary_rank_test(data, size, n_matrices)
+        assert [obs for _, obs, _ in result.categories] == np.bincount(classes[:n_matrices], minlength=4).tolist()
+
     def test_all_zero_input_is_extreme(self):
         data = bytes(2000 * 32 * 4)
         result = binary_rank_test(data, 32, 2000)

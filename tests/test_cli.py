@@ -302,6 +302,21 @@ class TestGenSinglePath:
         assert len(received) == length
         assert bytes(received) == generate(config, length)
 
+    def test_reader_closing_early_exits_1_with_one_line(self, tmp_path):
+        # `gen … --stdout | head -c 10`: the write fails once the reader is gone, and
+        # the exit that follows adds nothing to stderr
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(256, seed=1)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgrand", "gen", str(square), "--shift-var", "3", "9",
+             "--length", "1048576", "--stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (len(head), proc.wait(timeout=60), stderr) == (10, 1, b"qgrand gen: [Errno 32] Broken pipe\n")
+
     def test_peak_memory_independent_of_length(self, tmp_path):
         square = tmp_path / "square.txt"
         square.write_text(to_text(random_latin_square(256, seed=3)))

@@ -131,7 +131,9 @@ def roll_reference(matrix, shift):
 
 class TestPhase3:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-    @pytest.mark.parametrize("order", [*range(1, 21), 256])
+    # rows of 256 bytes or a multiple are copied in bands (uint8 at 256 and 512, uint16
+    # at 128, 256, 384 and 512; uint16 at 384 ends on a partial band), the rest whole
+    @pytest.mark.parametrize("order", [*range(1, 21), 128, 255, 256, 257, 300, 384, 512])
     def test_matches_roll_reference(self, order, dtype):
         rng = np.random.default_rng(order)
         matrix = rng.integers(0, np.iinfo(dtype).max, size=(order, order), dtype=dtype, endpoint=True)
@@ -141,6 +143,15 @@ class TestPhase3:
             rotated = transpose_rotate(matrix, shift)
             assert rotated.dtype == dtype
             assert np.array_equal(rotated, roll_reference(matrix, shift)), shift
+
+    @pytest.mark.parametrize("view", ["transposed", "reversed rows", "strided rows"])
+    def test_any_layout_matches_roll_reference(self, view):
+        # row strides of 1 and -512 bytes take the whole copy, 512 the banded one
+        wide = np.random.default_rng(5).integers(0, 256, size=(256, 512), dtype=np.uint8)
+        views = {"transposed": wide[:, :256].T, "reversed rows": wide[::-1, :256], "strided rows": wide[:, ::2]}
+        matrix = views[view]
+        for shift in (0, 1, 40000):
+            assert np.array_equal(transpose_rotate(matrix, shift), roll_reference(matrix, shift)), shift
 
     def test_2x2_rotate_by_one(self):
         matrix = np.array([[1, 2], [3, 4]])
