@@ -12,6 +12,7 @@ significant.  All tests are pure functions of their input bytes.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
@@ -34,6 +35,9 @@ class InsufficientInput(ValueError):
         super().__init__(f"need {needed} input bytes, got {got}")
         self.needed = needed
         self.got = got
+
+    def __reduce__(self):  # unpickled without __init__, which takes other arguments than `args`
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ def _result(test_name: str, labels: Sequence[str], codes: np.ndarray, expected: 
 
 def _words(data: bytes, count: int) -> np.ndarray:
     """The first `count` 32-bit words of `data`; InsufficientInput if it is shorter."""
-    if len(data) < 4 * count:
-        raise InsufficientInput(4 * count, len(data))
+    if (got := memoryview(data).nbytes) < 4 * count:  # bytes, whatever the items of an array are
+        raise InsufficientInput(4 * count, got)
     return np.frombuffer(data, dtype=">u4", count=count)
 
 
@@ -186,16 +190,6 @@ def binary_rank_test(data: bytes, size: int = 32, n_matrices: int = 40000) -> Te
     return _result(f"rank_{size}x{size}", ("full", "full-1", "full-2", "rest"), classes, expected)
 
 
-def permutation_index(values: Sequence[int]) -> int:
-    """Lehmer index (0..119) of the ordering of a 5-tuple; on ties the
-    earlier element counts as smaller."""
-    index = 0
-    for i in range(4):
-        smaller_later = sum(1 for j in range(i + 1, 5) if values[j] < values[i])
-        index += smaller_later * _FACTORIALS_4[i]
-    return index
-
-
 def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
     """Chi-square of the ordering classes of disjoint 5-tuples of words
     against the uniform 120-way expectation.  df = 119.
@@ -206,7 +200,7 @@ def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
     if n_tuples < 1:
         raise ValueError("n_tuples must be >= 1")
     words = _words(data, n_tuples * 5).reshape(n_tuples, 5)
-    # permutation_index pair by pair over all tuples; strict > keeps earlier-is-smaller on ties
+    # the Lehmer index pair by pair over all tuples; strict > keeps earlier-is-smaller on ties
     # every index is below 120, so uint8 holds it; np.uint8(weight) keeps the product uint8 too
     indices = np.zeros(n_tuples, dtype=np.uint8)
     for i, weight in enumerate(_FACTORIALS_4):
@@ -217,10 +211,10 @@ def permutation_test(data: bytes, n_tuples: int = 1_000_000) -> TestResult:
 
 def frequency_test(data: bytes) -> TestResult:
     """Chi-square over the 256 byte-value counts.  df = 255."""
-    if len(data) < 25600:
-        raise InsufficientInput(25600, len(data))
-    codes = np.frombuffer(data, dtype=np.uint8)
-    return _result("frequency", [f"0x{i:02x}" for i in range(256)], codes, [len(data) / 256.0] * 256)
+    codes = np.frombuffer(memoryview(data).cast("B"), dtype=np.uint8)  # every byte, whatever the item size
+    if codes.size < 25600:
+        raise InsufficientInput(25600, codes.size)
+    return _result("frequency", [f"0x{i:02x}" for i in range(256)], codes, [codes.size / 256.0] * 256)
 
 
 @dataclass(frozen=True)
@@ -247,6 +241,7 @@ def run_battery(
     """
     entries: list[BatteryEntry] = []
     for name, data in sources.items():
+        data = memoryview(data).cast("B")  # sized in bytes, as the tests read them
         tuples = _fit(n_tuples, len(data) // 20, 1_000_000, MIN_TUPLES)
         matrices = {size: _fit(n_matrices, len(data) // (4 * size), 40000, MIN_MATRICES) for size in (31, 32)}
         plan = [

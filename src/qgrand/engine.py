@@ -72,6 +72,8 @@ class GeneratorConfig:
                 raise ValueError(f"variable shift cell ({x},{y}) outside 1..{n}")
         else:
             raise TypeError(f"unsupported shift mode {self.shift_mode!r}")
+        if not isinstance(self.output_map, OutputMap):  # compared by identity below and in next_block
+            raise TypeError(f"unsupported output map {self.output_map!r}")
         if self.output_map is OutputMap.BYTES and n > 256:
             raise OrderTooLargeForBytes(f"byte output needs order <= 256, got {n}")
 
@@ -144,13 +146,12 @@ class Engine:
         return block
 
     def symbols(self) -> Iterator[int]:
-        """Endless 1-based symbols on either output map, advancing a whole block
-        at a time; the sequence equals concatenated row-major block reads."""
+        """Endless 1-based symbols on either output map, one whole `next_block()`
+        at a time, so a block's phase 3 has run before its first symbol is yielded."""
+        byte_map = self.config.output_map is OutputMap.BYTES
         while True:
-            self.phase1()
-            yield from self.phase2().tolist()
-            self.phase3()
-            self.iteration += 1
+            block = self.next_block()  # on the byte map, symbol-1 as uint8: add 1 in int32, or 255 + 1 wraps
+            yield from (np.add(block, 1, dtype=np.int32) if byte_map else block).tolist()
 
 
 def blocks(config: GeneratorConfig, length: int) -> Iterator[np.ndarray]:
@@ -167,10 +168,10 @@ def blocks(config: GeneratorConfig, length: int) -> Iterator[np.ndarray]:
 
 def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
     """Concatenate blocks into exactly `length_bytes` bytes (byte mapping only)."""
-    if config.square.order > 256:
-        raise OrderTooLargeForBytes(f"order {config.square.order} > 256")
-    if config.output_map is not OutputMap.BYTES:
-        raise ValueError("generate() requires the byte output mapping")
+    if config.output_map is not OutputMap.BYTES:  # GeneratorConfig caps the byte map at order 256
+        n = config.square.order
+        raise (OrderTooLargeForBytes(f"order {n} > 256") if n > 256
+               else ValueError("generate() requires the byte output mapping"))
     out = io.BytesIO()
     out.writelines(blocks(config, length_bytes))
     return out.getvalue()  # with no view of it alive, BytesIO hands over its own buffer, uncopied

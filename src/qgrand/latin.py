@@ -7,6 +7,7 @@ every symbol occurs exactly once per row and once per column.  Symbols are
 
 from __future__ import annotations
 
+import copyreg
 from contextlib import suppress
 from itertools import chain
 from typing import Iterable, Sequence
@@ -19,6 +20,9 @@ _INT64_MIN = int(np.iinfo(np.int64).min)  # its symbol-1 would wrap, so validate
 
 class LatinSquareError(ValueError):
     """Base class for Latin square validation and parse failures."""
+
+    def __reduce__(self):  # unpickled without __init__, which would format `args` again
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class NotSquare(LatinSquareError):

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from qgrand import (
     run_battery,
 )
 from qgrand.battery import TestResult as ChiSquareResult
-from qgrand.battery import BatteryEntry, _ranks, permutation_index, render_machine, render_report
+from qgrand.battery import _FACTORIALS_4, BatteryEntry, _ranks, render_machine, render_report
 
 # class probabilities for 31x31 and 32x32 random bit matrices, frozen from
 # a high-precision evaluation of the product formula
@@ -104,6 +105,16 @@ def naive_rank(grid):
         if pivot_row == n_rows:
             break
     return rank
+
+
+def permutation_index(values):
+    """Scalar Lehmer index (0..119) of the ordering of a 5-tuple; on ties the
+    earlier element counts as smaller."""
+    index = 0
+    for i in range(4):
+        smaller_later = sum(1 for j in range(i + 1, 5) if values[j] < values[i])
+        index += smaller_later * _FACTORIALS_4[i]
+    return index
 
 
 class TestGf2Rank:
@@ -512,6 +523,30 @@ class TestRunBattery:
         ]
         perm5_row = render_report(entries).splitlines()[3]
         assert perm5_row.startswith("perm5") and perm5_row.endswith("| -")
+
+    def test_input_is_sized_in_bytes_whatever_its_item_type(self):
+        # the same 4 MB as bytes, uint8, uint16 and big-endian uint32 items: len() of an
+        # array counts items, so sizing by it shrank the runs and put frequency at p = 1
+        data = generate(GeneratorConfig(random_latin_square(256, seed=1), ConstantShift(7)), 4_000_000)
+        views = [data, np.frombuffer(data, np.uint8), np.frombuffer(data, np.uint16), np.frombuffer(data, ">u4")]
+        reports = [repr(run_battery({"qg": view})) for view in views]
+        assert reports == [reports[0]] * 4 and "InsufficientInput" not in reports[0]
+
+    def test_tests_read_bytes_whatever_the_item_type(self):
+        data = Kiss(1, 2, 3, 4).next_bytes(200_000)
+        wide = np.frombuffer(data, ">u4")
+        assert repr(frequency_test(wide)) == repr(frequency_test(data))
+        assert repr(permutation_test(wide, 10_000)) == repr(permutation_test(data, 10_000))
+        assert repr(binary_rank_test(wide, 31, 1600)) == repr(binary_rank_test(data, 31, 1600))
+        with pytest.raises(InsufficientInput) as exc:
+            binary_rank_test(wide, 32, 2000)
+        assert (exc.value.needed, exc.value.got) == (256_000, 200_000)
+
+    def test_entry_with_an_error_survives_pickle(self):
+        entries = run_battery({"tiny": bytes(100)})
+        copies = pickle.loads(pickle.dumps(entries))
+        assert render_machine(copies) == render_machine(entries)  # exceptions compare by identity
+        assert [(type(c.error), vars(c.error)) for c in copies] == [(type(e.error), vars(e.error)) for e in entries]
 
     def test_machine_lines_format(self):
         data = Kiss(1, 2, 3, 4).next_bytes(400_000)

@@ -283,6 +283,21 @@ class TestStreamingInterlace:
         eng = Engine(GeneratorConfig(table1_square, ConstantShift(2), OutputMap.SYMBOLS))
         assert list(itertools.islice(eng.symbols(), 25)) == TABLE1_BLOCK0
 
+    @pytest.mark.parametrize("output", [OutputMap.SYMBOLS, OutputMap.BYTES])
+    def test_whole_blocks_advance_the_engine_as_next_block_does(self, output):
+        # after k whole blocks the engine stands where k next_block() calls leave it
+        config = GeneratorConfig(random_latin_square(16, seed=3), VariableShift(2, 5), output)
+        for k in range(4):
+            stream, reference = Engine(config), Engine(config)
+            list(itertools.islice(stream.symbols(), k * 256))
+            for _ in range(k):
+                reference.next_block()
+            assert stream.iteration == reference.iteration == k
+            assert np.array_equal(stream.gen_matrix, reference.gen_matrix)
+        first = Engine(config)
+        next(first.symbols())
+        assert first.iteration == 1  # a block's phase 3 runs before its first symbol
+
     def test_byte_map_yields_symbols_1_to_256(self):
         # byte blocks hold symbol-1 as uint8; symbol 256 must not wrap to 0
         config = GeneratorConfig(random_latin_square(256, seed=9), VariableShift(3, 9), OutputMap.BYTES)
@@ -428,3 +443,10 @@ class TestConfigValidation:
     def test_unsupported_mode_rejected(self, table1_square):
         with pytest.raises(TypeError):
             GeneratorConfig(table1_square, 3, OutputMap.SYMBOLS)
+
+    @pytest.mark.parametrize("output_map", ["bytes", "symbols", None, 0])
+    def test_output_map_must_be_an_output_map(self, table1_square, output_map):
+        # the map is compared by identity: a string equal to a member's value would run as the symbol map
+        with pytest.raises(TypeError, match="unsupported output map"):
+            GeneratorConfig(table1_square, ConstantShift(1), output_map)
+        assert GeneratorConfig(table1_square, ConstantShift(1), OutputMap("bytes")).output_map is OutputMap.BYTES

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from qgrand import (
     DuplicateInColumn,
     DuplicateInRow,
+    InsufficientInput,
     LatinSquare,
     LatinSquareError,
     NotSquare,
+    OrderTooLargeForBytes,
     OrderTooSmall,
     ParseError,
     SymbolOutOfRange,
@@ -293,6 +297,21 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != [[1, 2], [2, 1]]
+
+
+@pytest.mark.parametrize("exc", [
+    LatinSquareError("bad"), NotSquare("table of shape (2, 3)"), OrderTooSmall("order 1"),
+    SymbolOutOfRange("entry at (1,2) is 9", 1, 2), DuplicateInRow(3), DuplicateInColumn(4),
+    ParseError("bad token", 3, 2), ParseError("missing row", 5), InsufficientInput(10, 5),
+    OrderTooLargeForBytes("order 300 > 256"),
+], ids=lambda exc: type(exc).__name__)
+def test_exceptions_survive_pickle(exc):
+    # the default unpickling calls __init__ with the formatted message: a TypeError for
+    # InsufficientInput and ParseError, "row row 3 repeats a symbol repeats a symbol" for DuplicateInRow
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(exc, protocol))
+        assert type(copy) is type(exc)
+        assert (str(copy), copy.args, vars(copy)) == (str(exc), exc.args, vars(exc))
 
 
 def test_internal_table_is_zero_based():
