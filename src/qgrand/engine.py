@@ -64,10 +64,13 @@ class GeneratorConfig:
     def __post_init__(self):
         n = self.square.order
         if isinstance(self.shift_mode, ConstantShift):
+            _check_integer("ConstantShift.amount", self.shift_mode.amount)
             if self.shift_mode.amount < 0:
                 raise ValueError(f"shift amount {self.shift_mode.amount} < 0")
         elif isinstance(self.shift_mode, VariableShift):
             x, y = self.shift_mode.x, self.shift_mode.y
+            _check_integer("VariableShift.x", x)
+            _check_integer("VariableShift.y", y)
             if not (1 <= x <= n and 1 <= y <= n):
                 raise ValueError(f"variable shift cell ({x},{y}) outside 1..{n}")
         else:
@@ -76,6 +79,12 @@ class GeneratorConfig:
             raise TypeError(f"unsupported output map {self.output_map!r}")
         if self.output_map is OutputMap.BYTES and n > 256:
             raise OrderTooLargeForBytes(f"byte output needs order <= 256, got {n}")
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise TypeError unless value is an int or a numpy integer; a bool is neither here."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def transpose_rotate(matrix: np.ndarray, shift: int) -> np.ndarray:
@@ -157,6 +166,7 @@ class Engine:
 def blocks(config: GeneratorConfig, length: int) -> Iterator[np.ndarray]:
     """`next_block()` outputs of a fresh engine, the last one cut so that
     exactly `length` values come out in total."""
+    _check_integer("length", length)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     engine = Engine(config)

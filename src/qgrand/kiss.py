@@ -71,6 +71,8 @@ class Kiss:
 
     def __init__(self, x: int, y: int, z: int, w: int):
         for name, value in (("x", x), ("y", y), ("z", z), ("w", w)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"seed {name} must be an integer, got {value!r}")
             if not 0 <= value <= _M32:
                 raise ValueError(f"seed {name}={value} outside 32-bit range")
         if y == 0:
@@ -78,10 +80,7 @@ class Kiss:
         for name, value in (("z", z), ("w", w)):
             if value in (0, _M32):
                 raise ValueError(f"seed {name} must avoid 0 and 0xFFFFFFFF")
-        self.x = x
-        self.y = y
-        self.z = z
-        self.w = w
+        self.x, self.y, self.z, self.w = map(int, (x, y, z, w))  # a numpy uint32 would wrap in next_word
 
     def next_word(self) -> int:
         """Advance all four components and return the combined 32-bit output."""
@@ -106,9 +105,11 @@ class Kiss:
         stepped K times in lockstep, lane j writing words j*K .. j*K+K-1
         straight into the buffer returned.  The last lanes may run past
         `length`; the state kept is the one after the last word returned."""
+        if not isinstance(length, (int, np.integer)) or isinstance(length, bool):
+            raise TypeError(f"length must be an integer, got {length!r}")
         if length < 0:
             raise ValueError("length must be >= 0")
-        count = -(-length // 4)
+        count = -(-int(length) // 4)  # a numpy integer has no bit_length
         rest = max(count - 2, 0)
         lanes = min(1 << (rest // _LANE_WORDS).bit_length() >> 1, _MAX_LANES)
         lanes = lanes if lanes >= _MIN_LANES else 0

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_ORDER = 65536
-_INT64_MIN = int(np.iinfo(np.int64).min)  # its symbol-1 would wrap, so validate names it on the slow path
 
 
 class LatinSquareError(ValueError):
@@ -80,9 +79,7 @@ class LatinSquare:
             raise SymbolOutOfRange("entry at (1,1) is not an integer", 1, 1)
         if table0.itemsize == 1:  # exact; numpy sorts int16 ~10-40x faster than 8-bit integers
             table0 = table0.astype(np.int16)
-        bad_rows = np.flatnonzero((np.sort(table0, axis=1) != np.arange(n)).any(axis=1))
-        if bad_rows.size:  # named in 1-based symbols, as Python ints: no wrap
-            _check_row([v + 1 for v in table0[bad_rows[0]].tolist()], int(bad_rows[0]) + 1, n)
+        _check_rows(table0, 0)
         bad_cols = np.flatnonzero((np.sort(table0, axis=0) != np.arange(n)[:, None]).any(axis=0))
         if bad_cols.size:
             raise DuplicateInColumn(int(bad_cols[0]) + 1)
@@ -93,6 +90,9 @@ class LatinSquare:
 
     def __setattr__(self, name, value):
         raise AttributeError("LatinSquare is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor, not __setattr__
+        return LatinSquare, (self.table0,)
 
     def __eq__(self, other):
         return isinstance(other, LatinSquare) and bool(np.array_equal(self.table0, other.table0))
@@ -139,6 +139,13 @@ def _check_row(row, i: int, n: int) -> None:
         raise DuplicateInRow(i)
 
 
+def _check_rows(table: np.ndarray, base: int) -> None:
+    """Raise the first violation of the first row that is no permutation of base..base+n-1."""
+    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(base, base + len(table))).any(axis=1))
+    if bad.size:  # named in 1-based symbols, as Python ints: no wrap
+        _check_row([v + 1 - base for v in table[bad[0]].tolist()], int(bad[0]) + 1, len(table))
+
+
 def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
     """Check the Latin property and wrap the grid.
 
@@ -155,8 +162,9 @@ def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
     types = set(map(type, chain.from_iterable(rows)))
     if bool not in types and all(issubclass(t, (int, np.integer)) for t in types):
         with suppress(OverflowError):  # from np.array: an integer beyond int64 is out of range
-            if (table := np.array(rows, dtype=np.int64)).min() > _INT64_MIN:
+            if 1 <= (table := np.array(rows, dtype=np.int64)).min() and table.max() <= n:
                 return LatinSquare(table - 1)
+            _check_rows(table, 1)  # a symbol is out of range, so some row raises
     for i, row in enumerate(rows, start=1):  # some cell is invalid, so some row raises
         _check_row(row, i, n)
     raise AssertionError("a grid with an invalid cell passed every row check")
@@ -216,39 +224,38 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
 
 def to_text(square: LatinSquare) -> str:
     """Serialize: order on the first line, then one space-separated row per line."""
-    return "\n".join([str(square.order), *(" ".join(map(str, row)) for row in square.rows())]) + "\n"
+    rows = (" ".join(map(str, row.tolist())) for row in np.add(square.table0, 1, dtype=np.int32))
+    return "\n".join([str(square.order), *rows]) + "\n"
 
 
 def parse_text(text: str) -> LatinSquare:
-    """Parse the text format produced by :func:`to_text`, reading each symbol as
-    int() does and ignoring blank lines and lines starting with '#'.  The grid
-    is validated; a Latin-property error is raised only if nothing fails to parse."""
+    """Parse :func:`to_text`'s format one row at a time, reading symbols as int() does and
+    skipping blank lines and '#' lines; a Latin-property error comes only if all of it parses."""
     lines = text.splitlines()
-    data = [(lineno, stripped.split()) for lineno, stripped in enumerate(map(str.strip, lines), start=1)
-            if stripped and not stripped.startswith("#")]
-    if not data:
-        raise ParseError("empty input", 1)
-    (lineno, head), body = data[0], data[1:]
+    data = ((lineno, stripped.split()) for lineno, stripped in enumerate(map(str.strip, lines), start=1)
+            if stripped and not stripped.startswith("#"))
+    lineno, head = next(data, (1, []))
     if len(head) != 1:
-        raise ParseError("expected a single order value", lineno)
+        raise ParseError("expected a single order value" if head else "empty input", lineno)
     order = _int(head[0], "order", lineno, 1)
     if order < 1:
         raise ParseError(f"order must be positive, got {order}", lineno, 1)
-    # the rows above the first line of the wrong shape, whose tokens are reported first
-    k = next((k for k, (_, tokens) in enumerate(body) if k == order or len(tokens) != order), len(body))
-    try:
-        table = np.fromiter(map(int, chain.from_iterable(t for _, t in body[:k])), np.int64, k * order)
-    except (ValueError, OverflowError):  # a bad token, or a symbol beyond int64: find which
-        table = [[_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)]
-                 for lineno, tokens in body[:k]]
-    if k < len(body):
-        raise ParseError("unexpected content after the last row" if k == order
-                         else f"expected {order} symbols, got {len(body[k][1])}", body[k][0])
-    if k != order:
-        raise ParseError(f"expected {order} rows, got {k}", len(lines))
-    if isinstance(table, np.ndarray) and table.min() > _INT64_MIN:
-        return LatinSquare(table.reshape(order, order) - 1)
-    return validate(table if isinstance(table, list) else table.reshape(order, order))  # see _INT64_MIN
+    rows = []
+    for lineno, tokens in data:
+        if len(rows) == order or len(tokens) != order:
+            raise ParseError("unexpected content after the last row" if len(rows) == order
+                             else f"expected {order} symbols, got {len(tokens)}", lineno)
+        try:
+            rows.append(np.fromiter(map(int, tokens), np.int64))  # no count=: see CHANGES.md on heap churn
+        except (ValueError, OverflowError):  # a bad token raises; a symbol beyond int64 stays an int
+            rows.append([_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)])
+    if len(rows) != order:
+        raise ParseError(f"expected {order} rows, got {len(rows)}", len(lines))
+    with suppress(OverflowError):  # as in validate, which names a symbol beyond int64
+        if 1 <= (table := np.array(rows, dtype=np.int64)).min() and table.max() <= order:
+            return LatinSquare(table - 1)
+        _check_rows(table, 1)
+    return validate(rows)
 
 
 def _int(token: str, what: str, lineno: int, col: int) -> int:

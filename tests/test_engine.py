@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,10 @@ TABLE1_BLOCK0 = [
     2, 2, 2, 1, 2,
     5, 4, 2, 3, 3,
 ]
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
 
 
 def make_engine(grid, shift, output=OutputMap.SYMBOLS):
@@ -428,6 +434,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(config, 10)
 
+    @pytest.mark.parametrize("bad", [True, False, 3.0, "3"])
+    def test_length_must_be_an_integer(self, table1_square, bad):
+        # generate(config, True) returned one byte
+        config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.BYTES)
+        with pytest.raises(TypeError, match="length must be an integer"):
+            generate(config, bad)
+        with pytest.raises(TypeError, match="length must be an integer"):
+            next(blocks(config, bad))
+        assert generate(config, np.int64(7)) == generate(config, 7)
+
 
 class TestConfigValidation:
     def test_variable_shift_bounds(self, table1_square):
@@ -450,3 +466,36 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="unsupported output map"):
             GeneratorConfig(table1_square, ConstantShift(1), output_map)
         assert GeneratorConfig(table1_square, ConstantShift(1), OutputMap("bytes")).output_map is OutputMap.BYTES
+
+    @pytest.mark.parametrize("shift, field", [
+        (ConstantShift(True), "ConstantShift.amount"), (ConstantShift(1.5), "ConstantShift.amount"),
+        (ConstantShift("2"), "ConstantShift.amount"), (VariableShift(True, 2), "VariableShift.x"),
+        (VariableShift(2.0, 3), "VariableShift.x"), (VariableShift(1, np.True_), "VariableShift.y"),
+        (VariableShift(1, 2.5), "VariableShift.y"),
+    ])
+    def test_shift_fields_must_be_integers(self, table1_square, shift, field):
+        # True ran as 1; a float failed only at the first cycle, with numpy's own message
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            GeneratorConfig(table1_square, shift, OutputMap.SYMBOLS)
+
+    def test_numpy_integer_shift_fields_are_accepted(self, table1_square):
+        for plain, wide in ((ConstantShift(3), ConstantShift(np.int64(3))),
+                            (VariableShift(2, 4), VariableShift(np.uint8(2), np.int32(4)))):
+            engines = [Engine(GeneratorConfig(table1_square, mode, OutputMap.SYMBOLS)) for mode in (plain, wide)]
+            for _ in range(3):
+                assert engines[0].next_block().tolist() == engines[1].next_block().tolist()
+
+
+@pytest.mark.parametrize("copier", [pickle_round_trip, copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_configs_and_mid_stream_engines_survive_pickle_and_copy(copier):
+    # the square's __setattr__ forbids every assignment, and unpickling assigned its slots
+    for order, mode, output in ((16, VariableShift(2, 3), OutputMap.SYMBOLS), (256, ConstantShift(7), OutputMap.BYTES)):
+        config = GeneratorConfig(random_latin_square(order, seed=1), mode, output)
+        assert copier(config) == config
+        engine = Engine(config)
+        engine.next_block()
+        twin = copier(engine)
+        assert (twin.config, twin.iteration, twin.initialized) == (config, 1, False)
+        for _ in range(3):
+            assert np.array_equal(twin.next_block(), engine.next_block())

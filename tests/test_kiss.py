@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,22 @@ class TestSeedValidation:
     def test_zero_x_is_fine(self):
         assert Kiss(0, 2, 3, 4).next_word() >= 0
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "7", None])
+    def test_seed_must_be_an_integer(self, bad):
+        # a bool is an int in Python: True ran as x = 1, and a float failed deep in next_word
+        for i, name in enumerate("xyzw"):
+            seeds = [1, 2, 3, 4]
+            seeds[i] = bad
+            with pytest.raises(TypeError, match=f"seed {name} must be an integer"):
+                Kiss(*seeds)
+
+    def test_numpy_integer_seeds_run_as_ints(self):
+        # stored as Python ints, so next_word's arithmetic cannot overflow a uint32 scalar
+        for dtype in (np.uint32, np.int64, np.uint64):
+            gen = Kiss(*map(dtype, (123456789, 362436069, 521288629, 916191069)))
+            assert gen.next_bytes(9000) == Kiss(123456789, 362436069, 521288629, 916191069).next_bytes(9000)
+            assert all(type(v) is int for v in state(gen))
+
 
 class TestCongruentialPeriod:
     def test_x_does_not_return_within_a_million_steps(self):
@@ -119,6 +136,12 @@ class TestBytes:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Kiss(1, 2, 3, 4).next_bytes(-1)
+
+    @pytest.mark.parametrize("bad", [True, 4.0, "8"])
+    def test_length_must_be_an_integer(self, bad):
+        with pytest.raises(TypeError, match="length must be an integer"):
+            Kiss(1, 2, 3, 4).next_bytes(bad)
+        assert Kiss(1, 2, 3, 4).next_bytes(np.int64(8)) == Kiss(1, 2, 3, 4).next_bytes(8)
 
 
 # z and w moduli of the two MWCs, a * 2^16 - 1: states equal to them are fixed points

@@ -1,4 +1,6 @@
+import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +233,18 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             table1_square.order = 6
 
+    @pytest.mark.parametrize("copier", [lambda sq: pickle.loads(pickle.dumps(sq)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("order", [5, 256, 300])
+    def test_survives_pickle_and_copy(self, copier, order):
+        # each rebuilds through the constructor: setting the slots directly meets __setattr__
+        square = random_latin_square(order, seed=3)
+        twin = copier(square)
+        assert twin == square and hash(twin) == hash(square)
+        assert twin.table0.dtype == square.table0.dtype and not twin.table0.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.order = 6
+
 
 class TestTextFormat:
     def test_table1_round_trip(self, table1_square):
@@ -288,6 +302,57 @@ class TestTextFormat:
         square = random_latin_square(12, seed=5)
         order, *rows = to_text(square).splitlines()
         assert parse_text("\n".join([order, *(" ".join(map(rewrite, r.split())) for r in rows)])) == square
+
+    @pytest.mark.parametrize("order", [*range(2, 40), 255, 256, 257, 300, 1000])
+    def test_text_is_the_row_list_formula(self, order):
+        # the writer formats one row at a time; its bytes are those of the whole-table formula
+        for seed in (1, 2, 3):
+            square = random_latin_square(order, seed)
+            text = to_text(square)
+            assert text == "\n".join([str(order), *(" ".join(map(str, row)) for row in square.rows())]) + "\n"
+            assert parse_text(text) == square
+
+    @pytest.mark.parametrize("fn, bound", [(parse_text, 12), (to_text, 5)], ids=["parse_text", "to_text"])
+    def test_peak_memory_at_order_1024(self, fn, bound):
+        # one line's tokens at a time: a whole-file token list took 22.8x the text,
+        # and formatting rows() as lists of Python ints 10.2x
+        square = random_latin_square(1024, seed=1)
+        text = to_text(square)
+        tracemalloc.start()
+        try:
+            fn(text if fn is parse_text else square)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(text), peak / len(text)
+
+    def test_out_of_range_symbol_costs_what_a_valid_parse_does(self):
+        # the first bad row is found on the int64 table, as the constructor finds it:
+        # walking every row as numpy scalars took ~3x the time and 18x the text
+        text = to_text(random_latin_square(512, seed=1))
+        text = text[:text.rindex(" ") + 1] + "0\n"  # the last symbol
+        tracemalloc.start()
+        try:
+            with pytest.raises(SymbolOutOfRange, match=r"^entry 0 at \(512,512\) outside 1\.\.512$"):
+                parse_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(text), peak / len(text)
+
+    @pytest.mark.parametrize("text, order, line", [("1000000000\n", 1000000000, 1),
+                                                   ("# big\n65536\n\n# no rows\n", 65536, 4)])
+    def test_order_line_without_rows_allocates_no_table(self, text, order, line):
+        # nothing of size order^2 is made before the rows are seen
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"line {line}: expected {order} rows, got 0"
+        assert peak < 2**20
 
 
 def test_equality_and_hash():
