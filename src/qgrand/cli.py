@@ -191,7 +191,7 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
 def _cmd_make_square(args) -> int:
     square = latin.random_latin_square(args.order, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(latin.to_text(square))
+        fh.writelines(latin.text_lines(square))  # one row at a time, as to_text joins them
     return EXIT_OK
 
 

@@ -27,6 +27,9 @@ import numpy as np
 from .latin import LatinSquare
 
 
+_GATHER = 1 << 15  # indices per take in phase 1; slices of 2**14 cost gen ~11%, 2**15 nothing
+
+
 class OrderTooLargeForBytes(ValueError):
     pass
 
@@ -120,16 +123,31 @@ class Engine:
     def phase1(self) -> None:
         """Rebuild the working matrix from a snapshot of its predecessor; on a
         fresh engine that is the seed square, or any `gen_matrix` assigned since."""
-        table = self.config.square.table0
-        temp = self.gen_matrix.ravel()
+        table, matrix = self.config.square.table0, self.gen_matrix
+        if not isinstance(matrix, np.ndarray) or matrix.dtype != table.dtype:
+            raise TypeError(f"gen_matrix must be {len(table)}x{len(table)} {table.dtype}, "
+                            f"got {getattr(matrix, 'dtype', type(matrix).__name__)}")
+        if matrix.shape != table.shape:  # cells >= n go unchecked: a pass over them costs ~10%
+            raise ValueError(f"gen_matrix must be {len(table)}x{len(table)} {table.dtype}, "
+                             f"got shape {matrix.shape}")
+        temp = matrix.ravel()
         # flat index n * cell + successor is at most n * (n-1) + (n-1) = n*n - 1, so it
         # always fits the narrowest unsigned dtype that holds n*n - 1 (uint16 at order 256)
         idx = np.multiply(temp, table.shape[0], dtype=np.min_scalar_type(table.size - 1))
         idx[:-1] += temp[1:]
         idx[-1] += temp[0]
-        # reads come only from the snapshot; the result array is built whole.
-        # take, not [idx]: fancy indexing with a non-intp index is ~2.5x slower
-        self.gen_matrix = table.ravel().take(idx).reshape(table.shape)
+        # reads come only from the snapshot.  take, not [idx]: fancy indexing with a
+        # non-intp index is ~2.5x slower.  take copies its index to intp; a whole copy
+        # (512 KiB at order 256) left some heap layouts growing and trimming the heap
+        # every few cycles, so larger matrices gather in slices that keep it at 256 KiB
+        flat = table.ravel()
+        if idx.size <= _GATHER:
+            gathered = flat.take(idx)
+        else:
+            gathered = np.empty_like(flat)
+            for i in range(0, idx.size, _GATHER):  # "clip" would skip copying each slice, but not raise
+                flat.take(idx[i : i + _GATHER], out=gathered[i : i + _GATHER])
+        self.gen_matrix = gathered.reshape(table.shape)
         self.initialized = False
 
     def phase2(self) -> np.ndarray:

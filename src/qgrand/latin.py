@@ -10,7 +10,7 @@ from __future__ import annotations
 import copyreg
 from contextlib import suppress
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,18 +219,61 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
     mix = _Mix64(seed)
     row_perm, col_perm, sym_perm = (mix.permutation(n) for _ in range(3))
     # uint16 holds every symbol-1 up to MAX_ORDER, and numpy sorts it faster than uint8 or int64
-    return LatinSquare(np.array(sym_perm, dtype=np.uint16)[np.add.outer(row_perm, col_perm) % n])
+    symbols = np.array(sym_perm, dtype=np.uint16)
+    # row r of this view is symbols rolled left by r, so no n x n index of (r + c) % n is built
+    cyclic = np.lib.stride_tricks.sliding_window_view(np.concatenate((symbols, symbols[:-1])), n)
+    return LatinSquare(cyclic[np.ix_(row_perm, col_perm)])
+
+
+def text_lines(square: LatinSquare) -> Iterator[str]:
+    """:func:`to_text`'s lines one at a time, each ending in a newline."""
+    yield f"{square.order}\n"
+    names = [str(k) for k in range(1, square.order + 1)]  # symbol-1 -> its text
+    for row in square.table0:
+        yield " ".join(map(names.__getitem__, row.tolist())) + "\n"
 
 
 def to_text(square: LatinSquare) -> str:
     """Serialize: order on the first line, then one space-separated row per line."""
-    rows = (" ".join(map(str, row.tolist())) for row in np.add(square.table0, 1, dtype=np.int32))
-    return "\n".join([str(square.order), *rows]) + "\n"
+    return "".join(text_lines(square))
 
 
 def parse_text(text: str) -> LatinSquare:
-    """Parse :func:`to_text`'s format one row at a time, reading symbols as int() does and
-    skipping blank lines and '#' lines; a Latin-property error comes only if all of it parses."""
+    """Parse :func:`to_text`'s format.  Its own layout is read by numpy in one call; any
+    other text one row at a time by :func:`_parse_rows`, the only reader of the other
+    spellings, which also names every error, so a failed fast read is read again there."""
+    with suppress(LatinSquareError):  # the constructor rejects any symbol outside 1..n
+        if (table := _layout_table(text)) is not None:
+            return LatinSquare(np.subtract(table, 1, out=table))
+    return _parse_rows(text)
+
+
+def _layout_table(text: str) -> np.ndarray | None:
+    """The int64 n x n table of a text in exactly :func:`to_text`'s layout, else None.
+    Nothing of size n * n is made before the text is known to have that layout."""
+    head, _, body = text.partition("\n")
+    if not (text.isascii() and head.isdigit() and body.endswith("\n")):
+        return None
+    n = int(head)
+    data = np.frombuffer(raw := body.encode(), np.uint8)
+    # as many digits as 1..n written n times each.  Once the caller has checked that the
+    # table is Latin, that forces every token to be its own symbol's digits: no leading
+    # zero, and none so long that numpy's int64 parse could clamp or wrap it
+    if data.size != n * n + n * sum(n + 1 - 10**d for d in range(len(str(n)))) or data.max() > 57:
+        return None
+    sep = data < 48  # a space, a newline or another byte below the digits 48..57
+    ends = np.flatnonzero(data == 10)
+    # each line holds n - 1 spaces mod 2**16 and the body n * n separators in all, so each
+    # line holds exactly n - 1 spaces between n non-empty tokens, and no other byte
+    if (ends.size != n or sep[0] or (sep[1:] & sep[:-1]).any() or np.count_nonzero(sep) != n * n
+            or (np.add.reduceat(data == 32, np.r_[0, ends[:-1] + 1], dtype=np.uint16) != n - 1).any()):
+        return None
+    return np.fromstring(raw, np.int64, sep=" ").reshape(n, n)
+
+
+def _parse_rows(text: str) -> LatinSquare:
+    """Parse one row at a time, reading symbols as int() does and skipping blank lines
+    and '#' lines; a Latin-property error comes only if all of it parses."""
     lines = text.splitlines()
     data = ((lineno, stripped.split()) for lineno, stripped in enumerate(map(str.strip, lines), start=1)
             if stripped and not stripped.startswith("#"))

@@ -79,6 +79,17 @@ class TestMakeSquare:
         assert run_main(["make-square", 4, "--seed", 2**64 - 1, "--out", out], capsys) == (0, "", "")
         assert out.read_text() == to_text(random_latin_square(4, 2**64 - 1))
 
+    def test_file_is_written_one_row_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # the rows that to_text joins, each written as it is formatted: the whole text is never built
+        out, expected = tmp_path / "square.txt", to_text(random_latin_square(300, seed=1))
+
+        def refuse(square):
+            raise AssertionError("the whole text was built")
+
+        monkeypatch.setattr(latin, "to_text", refuse)
+        assert run_main(["make-square", 300, "--seed", 1, "--out", out], capsys) == (0, "", "")
+        assert out.read_text() == expected
+
     @pytest.mark.parametrize("argv", [
         ["make-square", "65537", "--out", "x.txt"],
         ["compare", "qg:order=65537,seed=1,const=1", "kiss"],

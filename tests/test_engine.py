@@ -101,6 +101,22 @@ class TestPhase1:
             assert np.array_equal(eng.gen_matrix, phase1_reference(table, matrix))
 
 
+    @pytest.mark.parametrize("order", [16, 300])
+    def test_gen_matrix_of_another_type_or_shape_is_named(self, order):
+        eng = Engine(GeneratorConfig(random_latin_square(order, seed=1), ConstantShift(1), OutputMap.SYMBOLS))
+        dtype = eng.gen_matrix.dtype
+        for matrix, error, given in [
+            (eng.gen_matrix.astype(np.int64), TypeError, "int64"),  # a saved matrix read back as int64
+            (eng.gen_matrix.tolist(), TypeError, "list"),
+            (eng.gen_matrix.ravel(), ValueError, f"shape ({order * order},)"),
+            (eng.gen_matrix[:-1], ValueError, f"shape ({order - 1}, {order})"),
+        ]:
+            eng.gen_matrix = matrix
+            with pytest.raises(error) as exc:
+                eng.phase1()
+            assert str(exc.value) == f"gen_matrix must be {order}x{order} {dtype}, got {given}"
+
+
 class TestPhase2:
     def test_row_major_symbols(self, table1_square):
         eng = Engine(GeneratorConfig(table1_square, ConstantShift(2), OutputMap.SYMBOLS))
@@ -215,6 +231,23 @@ class TestNextBlock:
         assert block.size == 65536
         assert block.dtype == np.uint8
         assert int(block.min()) >= 0 and int(block.max()) <= 255
+
+    @pytest.mark.parametrize("order, output, bound", [(256, OutputMap.BYTES, 512 << 10),
+                                                      (1024, OutputMap.SYMBOLS, 12 << 20)],
+                             ids=["order-256", "order-1024"])
+    def test_peak_memory_of_one_cycle(self, order, output, bound):
+        # phase 1 gathers in slices: take's intp copy of a whole index took 8 bytes per cell,
+        # 705 KiB above the start at order 256 and 14.3 MiB at order 1024
+        eng = Engine(GeneratorConfig(random_latin_square(order, seed=1), VariableShift(3, 9), output))
+        eng.next_block()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            eng.next_block()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= bound, (peak - start) >> 10
 
     def test_byte_mapping_is_symbol_minus_one(self, table1_square):
         sym = Engine(GeneratorConfig(table1_square, ConstantShift(2), OutputMap.SYMBOLS))

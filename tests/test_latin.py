@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,18 @@ class TestTextFormat:
         assert peak < 2**20
 
 
+    @pytest.mark.parametrize("order", [2, 16, 256, 300])
+    def test_own_layout_is_read_in_one_call(self, order, monkeypatch):
+        # numpy reads to_text's layout; the row-by-row reader is left for every other text
+        text = to_text(square := random_latin_square(order, seed=order))
+
+        def refuse(text):
+            raise AssertionError("to_text's layout reached the row-by-row reader")
+
+        monkeypatch.setattr(latin, "_parse_rows", refuse)
+        assert parse_text(text) == square
+
+
 def test_equality_and_hash():
     a = validate([[1, 2], [2, 1]])
     b = validate([[1, 2], [2, 1]])
@@ -527,6 +540,40 @@ def mutated_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+def _move_a_token_up(text):
+    """The first symbol of row 2 moved to the end of row 1: n + 1 and n - 1 symbols, n * n in all."""
+    head, row1, row2, rest = text.split("\n", 3)
+    first, others = row2.split(" ", 1)
+    return "\n".join([head, f"{row1} {first}", others, rest])
+
+
+def _join_rows_with_tabs(text):
+    """Rows 1 and 2 as one line, with a tab between them and for 15 of its 30 spaces: every
+    line holds 15 spaces, but there are 15 lines, and 256 tokens in all at order 16."""
+    head, row1, row2, rest = text.split("\n", 3)
+    return "\n".join([head, f"{row1}\t{row2}".replace(" ", "\t", 15), rest])
+
+
+def _split_the_last_row(text):
+    """No final newline, and the last row's first space a newline: 16 lines and 256
+    separators, but the last line holds 15 spaces only with a two-digit token split."""
+    *rows, last = text[:-1].split("\n")
+    return "\n".join([*rows, _split_a_token(last.replace(" ", "\n", 1), " ")])
+
+
+def _split_a_token(row, sep="\t"):
+    """The row with its first two-digit token split in two by `sep`."""
+    return re.sub(r"\b(\d)(\d)\b", rf"\1{sep}\2", row, count=1)
+
+
+def _row1(edit):
+    """The text with `edit` applied to its first row."""
+    def apply(text):
+        head, row1, rest = text.split("\n", 2)
+        return "\n".join([head, edit(row1), rest])
+    return apply
+
+
 class TestAgainstReference:
     @given(rows=mutated_grids())
     @settings(max_examples=400, deadline=None)
@@ -542,6 +589,55 @@ class TestAgainstReference:
     @given(text=mutated_texts())
     @settings(max_examples=400, deadline=None)
     def test_parse_text(self, text):
+        assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
+
+    # edits of to_text's layout: each leaves it, so the row-by-row reader must read it or
+    # name its error.  numpy clamps 2**64 + 1 to 2**63 - 1, and another numpy may wrap it to 1
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n1 ", "\n18446744073709551617 ", 1),
+        lambda t: t.replace("\n1 ", "\n9223372036854775808 ", 1),
+        lambda t: t.replace("\n1 ", "\n0000000000000000000001 ", 1),
+        lambda t: t.replace(" 1 ", " 0000000000000000000001 ", 1),
+        lambda t: "0" + t,
+        lambda t: t.replace("\n", " \n"),
+        lambda t: t.replace("\n", " \n", 2),
+        lambda t: t.replace(" ", "  ", 1),
+        lambda t: t.replace("\n", "\n ", 2),
+        lambda t: t.replace(" ", "\t", 1),
+        lambda t: t[:-1],
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t + "\n",
+        lambda t: t.replace("\n", "\n\n", 1),
+        lambda t: t.replace("\n", " ", 2).replace(" ", "\n", 1),
+        _move_a_token_up,
+        _join_rows_with_tabs,
+        _row1(lambda r: " " + r.replace(" ", "", 1)),
+        _row1(lambda r: r.replace(" ", "", 1).replace(" ", "  ", 1)),
+        _row1(_split_a_token),
+        _row1(lambda r: re.sub(r"\b(\d)\d\b", r"\1", _split_a_token(r), count=1)),
+        _split_the_last_row,
+        lambda t: "²" + t[2:],
+        lambda t: t.replace("\n", "\n+", 1),
+        lambda t: t.replace(" 16 ", " 17 ", 1),
+        lambda t: t.replace(" 16 ", " 0 ", 1),
+    ], ids=["2**64+1", "2**63", "22-digit-1", "22-digit-1-mid-row", "order-016", "trailing-spaces",
+            "one-trailing-space", "double-space", "leading-space", "tab", "no-final-newline", "crlf",
+            "blank-last-line", "blank-line", "rows-rejoined", "token-moved", "rows-joined-by-tabs",
+            "leading-space-tokens-merged", "double-space-tokens-merged", "tab-in-a-token",
+            "tab-in-a-token-another-shortened", "last-row-split", "superscript-order", "plus", "out-of-range", "zero"])
+    def test_layout_edges(self, edit):
+        text = edit(to_text(random_latin_square(16, seed=1)))
+        assert text != to_text(random_latin_square(16, seed=1))
+        assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
+
+    def test_overflowing_token_under_a_wrapping_parse(self, monkeypatch):
+        # another numpy may wrap a token beyond int64 instead of clamping it: 2**64 + 1
+        # must not read as the 1 it replaced
+        def wrapping_fromstring(raw, dtype, sep):
+            return np.array([(int(t) + 2**63) % 2**64 - 2**63 for t in raw.split()], dtype)
+
+        text = to_text(random_latin_square(16, seed=1)).replace("\n1 ", f"\n{2**64 + 1} ", 1)
+        monkeypatch.setattr(np, "fromstring", wrapping_fromstring)
         assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
 
     @pytest.mark.parametrize("order", [16, 256])
