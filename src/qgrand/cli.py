@@ -139,13 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_square(path: str) -> latin.LatinSquare:
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return latin.parse_text(data.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise latin.ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line) from None
+        with open(path, encoding="ascii", newline="") as fh:  # newline="": CRLF ends as stored
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file, so `object` is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise latin.ParseError(f"byte 0x{exc.object[exc.start]:02x} is not ASCII", line) from None
+    return latin.parse_text(text)
 
 
 def _parse_genspec(spec: str) -> Callable[[int], bytes]:
@@ -190,7 +190,7 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
 
 def _cmd_make_square(args) -> int:
     square = latin.random_latin_square(args.order, args.seed)
-    with open(args.out, "w", encoding="ascii") as fh:
+    with open(args.out, "wb") as fh:
         fh.writelines(latin.text_lines(square))  # one row at a time, as to_text joins them
     return EXIT_OK
 

@@ -152,7 +152,7 @@ class Engine:
 
     def phase2(self) -> np.ndarray:
         """Row-major read of the working matrix as 1-based symbols.  Read-only."""
-        return self.gen_matrix.ravel().astype(np.int32) + 1
+        return np.add(self.gen_matrix.ravel(), 1, dtype=np.int32)
 
     def phase3(self) -> None:
         mode = self.config.shift_mode

@@ -225,50 +225,40 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
     return LatinSquare(cyclic[np.ix_(row_perm, col_perm)])
 
 
-def text_lines(square: LatinSquare) -> Iterator[str]:
-    """:func:`to_text`'s lines one at a time, each ending in a newline."""
-    yield f"{square.order}\n"
-    names = [str(k) for k in range(1, square.order + 1)]  # symbol-1 -> its text
+def text_lines(square: LatinSquare) -> Iterator[bytes]:
+    """:func:`to_text`'s lines as ASCII bytes, one at a time, each ending in a newline.
+    The one definition of the layout: :func:`parse_text` keeps a fast read only if these
+    lines give back the text's bytes."""
+    yield b"%d\n" % square.order
+    names = np.array([b"%d " % k for k in range(1, square.order + 1)])  # symbol-1 -> "k ", NUL-padded (S dtype)
     for row in square.table0:
-        yield " ".join(map(names.__getitem__, row.tolist())) + "\n"
+        yield names.take(row).tobytes().translate(None, b"\0")[:-1] + b"\n"
 
 
 def to_text(square: LatinSquare) -> str:
     """Serialize: order on the first line, then one space-separated row per line."""
-    return "".join(text_lines(square))
+    return b"".join(text_lines(square)).decode()
 
 
 def parse_text(text: str) -> LatinSquare:
-    """Parse :func:`to_text`'s format.  Its own layout is read by numpy in one call; any
-    other text one row at a time by :func:`_parse_rows`, the only reader of the other
-    spellings, which also names every error, so a failed fast read is read again there."""
-    with suppress(LatinSquareError):  # the constructor rejects any symbol outside 1..n
-        if (table := _layout_table(text)) is not None:
-            return LatinSquare(np.subtract(table, 1, out=table))
+    """Parse :func:`to_text`'s format.  A text of ASCII digits, spaces and newlines under an
+    order line of at most 5 digits is read by numpy in one call, and its square is kept only
+    if :func:`text_lines` writes it back as exactly the text's bytes.  Any other text is read
+    one row at a time by :func:`_parse_rows`, which also names every error."""
+    end = text.find("\n", 0, len(str(MAX_ORDER)) + 1)  # an order line that int32 holds exactly
+    if text.isascii() and end > 0 and text[:end].isdigit():
+        raw = text.encode()
+        if not raw.translate(None, b"0123456789 \n"):  # no byte that numpy would stop at
+            # the order, then n * n symbols; a token beyond int32 wraps or clamps, and then
+            # the square cannot write back as the text
+            values = np.fromstring(raw, np.int32, sep=" ")
+            n = int(values[0])
+            values -= 1  # symbol-1, as the table stores it
+            with suppress(LatinSquareError):  # the constructor rejects any symbol outside 1..n
+                if values.size == n * n + 1 and b"".join(text_lines(
+                        square := LatinSquare(values[1:].reshape(n, n)))) == raw:
+                    return square
     return _parse_rows(text)
-
-
-def _layout_table(text: str) -> np.ndarray | None:
-    """The int64 n x n table of a text in exactly :func:`to_text`'s layout, else None.
-    Nothing of size n * n is made before the text is known to have that layout."""
-    head, _, body = text.partition("\n")
-    if not (text.isascii() and head.isdigit() and body.endswith("\n")):
-        return None
-    n = int(head)
-    data = np.frombuffer(raw := body.encode(), np.uint8)
-    # as many digits as 1..n written n times each.  Once the caller has checked that the
-    # table is Latin, that forces every token to be its own symbol's digits: no leading
-    # zero, and none so long that numpy's int64 parse could clamp or wrap it
-    if data.size != n * n + n * sum(n + 1 - 10**d for d in range(len(str(n)))) or data.max() > 57:
-        return None
-    sep = data < 48  # a space, a newline or another byte below the digits 48..57
-    ends = np.flatnonzero(data == 10)
-    # each line holds n - 1 spaces mod 2**16 and the body n * n separators in all, so each
-    # line holds exactly n - 1 spaces between n non-empty tokens, and no other byte
-    if (ends.size != n or sep[0] or (sep[1:] & sep[:-1]).any() or np.count_nonzero(sep) != n * n
-            or (np.add.reduceat(data == 32, np.r_[0, ends[:-1] + 1], dtype=np.uint16) != n - 1).any()):
-        return None
-    return np.fromstring(raw, np.int64, sep=" ").reshape(n, n)
 
 
 def _parse_rows(text: str) -> LatinSquare:

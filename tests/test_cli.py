@@ -193,6 +193,15 @@ class TestGen:
         assert result.stdout == b""
         assert result.stderr.decode().splitlines() == ["qgrand gen: line 3: byte 0xff is not ASCII"]
 
+    def test_order_line_beyond_int_digit_limit_is_not_an_integer(self, tmp_path):
+        # int() refuses 5000 digits with a plain ValueError; the exact reader names the token
+        path = tmp_path / "big.txt"
+        path.write_text("1" * 5000 + "\n1\n")
+        checked = run_cli("validate-square", path)
+        assert checked.returncode == 1
+        assert re.fullmatch(r"invalid square: line 1, token 1: order '1{5000}' is not an integer\n",
+                            checked.stderr.decode())
+
 
 def _expected_gen(fmt, length):
     """What `gen TABLE1 --shift-const 2` must write, built from the library."""

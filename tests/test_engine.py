@@ -136,6 +136,20 @@ class TestPhase2:
         eng = make_engine([[1]], ConstantShift(0))
         assert eng.next_block().tolist() == [1]
 
+    def test_peak_memory_at_order_1024(self):
+        # one int32 array: an int32 copy of the matrix plus 1 made two, 8 bytes per cell
+        n = 1024
+        eng = Engine(GeneratorConfig(random_latin_square(n, seed=1), ConstantShift(2), OutputMap.SYMBOLS))
+        eng.phase1()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            eng.phase2()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 4 * n * n + (64 << 10), (peak - start) >> 10
+
 
 def phase1_reference(table, matrix):
     """Phase 1 by its definition, a 2-D lookup of each cell with its row-major

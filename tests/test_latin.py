@@ -304,11 +304,10 @@ class TestTextFormat:
         order, *rows = to_text(square).splitlines()
         assert parse_text("\n".join([order, *(" ".join(map(rewrite, r.split())) for r in rows)])) == square
 
-    @pytest.mark.parametrize("order", [*range(2, 40), 255, 256, 257, 300, 1000])
+    @pytest.mark.parametrize("order", [1, *range(2, 40), 99, 100, 101, 255, 256, 257, 300, 1000])
     def test_text_is_the_row_list_formula(self, order):
         # the writer formats one row at a time; its bytes are those of the whole-table formula
-        for seed in (1, 2, 3):
-            square = random_latin_square(order, seed)
+        for square in [validate([[1]])] if order == 1 else [random_latin_square(order, s) for s in (1, 2, 3)]:
             text = to_text(square)
             assert text == "\n".join([str(order), *(" ".join(map(str, row)) for row in square.rows())]) + "\n"
             assert parse_text(text) == square
@@ -356,10 +355,12 @@ class TestTextFormat:
         assert peak < 2**20
 
 
-    @pytest.mark.parametrize("order", [2, 16, 256, 300])
+    @pytest.mark.parametrize("order", [1, 2, 9, 10, 16, 99, 100, 101, 256, 300])
     def test_own_layout_is_read_in_one_call(self, order, monkeypatch):
-        # numpy reads to_text's layout; the row-by-row reader is left for every other text
-        text = to_text(square := random_latin_square(order, seed=order))
+        # numpy reads to_text's layout, at every digit width; the row-by-row reader is left
+        # for every other text
+        square = validate([[1]]) if order == 1 else random_latin_square(order, seed=order)
+        text = to_text(square)
 
         def refuse(text):
             raise AssertionError("to_text's layout reached the row-by-row reader")
@@ -620,11 +621,18 @@ class TestAgainstReference:
         lambda t: t.replace("\n", "\n+", 1),
         lambda t: t.replace(" 16 ", " 17 ", 1),
         lambda t: t.replace(" 16 ", " 0 ", 1),
+        lambda t: t.replace(" 1 ", " 01 ", 1),
+        lambda t: "0\n",
+        lambda t: "00\n",
+        lambda t: "0\n\n",
+        lambda t: "16\n",
+        lambda t: "1" * 5000 + "\n" + t.split("\n")[1] + "\n",
     ], ids=["2**64+1", "2**63", "22-digit-1", "22-digit-1-mid-row", "order-016", "trailing-spaces",
             "one-trailing-space", "double-space", "leading-space", "tab", "no-final-newline", "crlf",
             "blank-last-line", "blank-line", "rows-rejoined", "token-moved", "rows-joined-by-tabs",
             "leading-space-tokens-merged", "double-space-tokens-merged", "tab-in-a-token",
-            "tab-in-a-token-another-shortened", "last-row-split", "superscript-order", "plus", "out-of-range", "zero"])
+            "tab-in-a-token-another-shortened", "last-row-split", "superscript-order", "plus", "out-of-range", "zero",
+            "token-01", "order-0", "order-00", "order-0-blank-line", "no-rows", "5000-digit-order"])
     def test_layout_edges(self, edit):
         text = edit(to_text(random_latin_square(16, seed=1)))
         assert text != to_text(random_latin_square(16, seed=1))
