@@ -8,8 +8,9 @@ every symbol occurs exactly once per row and once per column.  Symbols are
 from __future__ import annotations
 
 import copyreg
+import io
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -241,23 +242,19 @@ def to_text(square: LatinSquare) -> str:
 
 
 def parse_text(text: str) -> LatinSquare:
-    """Parse :func:`to_text`'s format.  A text of ASCII digits, spaces and newlines under an
-    order line of at most 5 digits is read by numpy in one call, and its square is kept only
-    if :func:`text_lines` writes it back as exactly the text's bytes.  Any other text is read
-    one row at a time by :func:`_parse_rows`, which also names every error."""
-    end = text.find("\n", 0, len(str(MAX_ORDER)) + 1)  # an order line that int32 holds exactly
-    if text.isascii() and end > 0 and text[:end].isdigit():
-        raw = text.encode()
-        if not raw.translate(None, b"0123456789 \n"):  # no byte that numpy would stop at
-            # the order, then n * n symbols; a token beyond int32 wraps or clamps, and then
-            # the square cannot write back as the text
-            values = np.fromstring(raw, np.int32, sep=" ")
+    """Parse :func:`to_text`'s format.  An ASCII text of nothing but digits, spaces and newlines
+    is read by numpy in one call, and its square is kept only if :func:`text_lines` writes it
+    back line for line as the text.  Every text not kept is read one row at a time by
+    :func:`_parse_rows`, which also names every error."""
+    if text.isascii() and not text.encode().translate(None, b"0123456789 \n"):
+        values = np.fromstring(text, np.int32, sep=" ")  # a token beyond int32 wraps or clamps
+        with suppress(IndexError, ValueError):  # no order, no n x n body, or no Latin square
             n = int(values[0])
             values -= 1  # symbol-1, as the table stores it
-            with suppress(LatinSquareError):  # the constructor rejects any symbol outside 1..n
-                if values.size == n * n + 1 and b"".join(text_lines(
-                        square := LatinSquare(values[1:].reshape(n, n)))) == raw:
-                    return square
+            square = LatinSquare(values[1:].reshape(n, n))
+            del values  # before the write-back encodes the text, so the two are never held at once
+            if all(a == b for a, b in zip_longest(text_lines(square), io.BytesIO(text.encode()))):
+                return square
     return _parse_rows(text)
 
 

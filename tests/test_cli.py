@@ -110,7 +110,30 @@ class TestMakeSquare:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def square_file_peaks(tmp_path_factory):
+    """make-square, then validate-square on its file, at orders 1024 and 2048: for each
+    command, the file's size and the command's peak RSS, both in bytes, per order."""
+    directory = tmp_path_factory.mktemp("squares")
+    peaks = {}
+    for order in (1024, 2048):
+        path = directory / f"sq{order}.txt"
+        for command in (["make-square", order, "--seed", 1, "--out", path], ["validate-square", path]):
+            code, kib = run_peak_rss([sys.executable, "-m", "qgrand", *command])
+            assert code == 0
+            peaks.setdefault(command[0], []).append((path.stat().st_size, kib * 1024))
+    return peaks
+
+
 class TestValidateSquare:
+    @pytest.mark.parametrize("command, bound", [("make-square", 2), ("validate-square", 4)])
+    def test_peak_memory_grows_no_faster_than_the_file(self, square_file_peaks, command, bound):
+        # the file grows ~4.5x from order 1024 to 2048.  Per byte of that growth, make-square's
+        # peak grows 1.1 bytes, and validate-square's 3.4 (5.3 while the fast read kept an
+        # encoded copy of the text and a joined write-back)
+        (small_size, small_peak), (large_size, large_peak) = square_file_peaks[command]
+        assert large_peak - small_peak <= bound * (large_size - small_size), (small_peak, large_peak)
+
     def test_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 1\n2 1\n")

@@ -406,6 +406,45 @@ class TestPeriodicity:
         pytest.fail("no state revisited within the pigeonhole bound")
 
 
+def shift_scores(b0, b1, n, probes=64):
+    """For each rotation s, the share of probes on which block b1 agrees with itself s places
+    on.  The next block is R_s(F(u)), where u is b0 transposed and flattened, F phase 1's
+    lookup of each cell with its successor and R_s the rotation by s.  So positions q whose
+    pairs (u[q], u[q+1]) are equal give equal outputs at q + s: each probe is a position
+    whose pair came earlier in u, compared with that pair's first position."""
+    size = n * n
+    u = b0.reshape(n, n).T.ravel().astype(np.int64)
+    _, first, group = np.unique(u * n + np.roll(u, -1), return_index=True, return_inverse=True)
+    probe = np.flatnonzero(first[group] != np.arange(size))[:probes]
+    assert probe.size == probes
+    twice = np.concatenate((b1, b1))  # twice[q : q + size][s] is b1[(q + s) % size]
+    return sum(twice[q : q + size] == twice[f : f + size] for q, f in zip(probe, first[group[probe]])) / probes
+
+
+class TestShiftRecovery:
+    """What the output gives away: two consecutive blocks (2n^2 bytes) name phase 3's shift."""
+
+    @pytest.mark.parametrize("order", [16, 256])
+    @pytest.mark.parametrize("mode", [ConstantShift(7), ConstantShift(40000), VariableShift(3, 9)],
+                             ids=["const=7", "const=40000", "var=3:9"])
+    def test_two_blocks_give_away_the_shift(self, order, mode):
+        stream = generate(GeneratorConfig(random_latin_square(order, seed=1), mode), 2 * order**2)
+        b0, b1 = np.frombuffer(stream, np.uint8).reshape(2, -1)
+        if isinstance(mode, VariableShift):  # the cell phase 3 reads after transposing block 0
+            shift = int(b0.reshape(order, order).T[mode.x - 1, mode.y - 1]) + 1
+        else:
+            shift = mode.amount % order**2
+        scores = shift_scores(b0, b1, order)
+        assert (int(scores.argmax()), scores.max()) == (shift, 1.0)
+        assert np.sort(scores)[-2] < 0.5, np.sort(scores)[-2]  # the runner-up read 0.156 and 0.078
+
+    @pytest.mark.parametrize("order", [16, 256])
+    def test_random_bytes_give_away_no_shift(self, order):
+        b0, b1 = np.random.default_rng(order).integers(0, order, (2, order**2), dtype=np.uint8)
+        best = shift_scores(b0, b1, order).max()
+        assert best < 0.5, best  # read 0.156 and 0.0625
+
+
 class TestGenerate:
     def test_zero_length(self, table1_square):
         config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.BYTES)

@@ -312,10 +312,11 @@ class TestTextFormat:
             assert text == "\n".join([str(order), *(" ".join(map(str, row)) for row in square.rows())]) + "\n"
             assert parse_text(text) == square
 
-    @pytest.mark.parametrize("fn, bound", [(parse_text, 12), (to_text, 5)], ids=["parse_text", "to_text"])
+    @pytest.mark.parametrize("fn, bound", [(parse_text, 3), (to_text, 5)], ids=["parse_text", "to_text"])
     def test_peak_memory_at_order_1024(self, fn, bound):
-        # one line's tokens at a time: a whole-file token list took 22.8x the text,
-        # and formatting rows() as lists of Python ints 10.2x
+        # a whole-file token list took 22.8x the text, and formatting rows() as lists of
+        # Python ints 10.2x; numpy reading the str itself, with the write-back compared line
+        # by line, takes 2.3x (an encoded copy kept beside the text, and a joined write-back, 4.6x)
         square = random_latin_square(1024, seed=1)
         text = to_text(square)
         tracemalloc.start()
@@ -627,12 +628,19 @@ class TestAgainstReference:
         lambda t: "0\n\n",
         lambda t: "16\n",
         lambda t: "1" * 5000 + "\n" + t.split("\n")[1] + "\n",
+        lambda t: "4294967312" + t[2:],  # int32 wraps the order to the body's 16
+        lambda t: "4294967295" + t[2:],  # and this one to -1
+        lambda t: "",
+        lambda t: "\n",  # numpy reads a text of whitespace as a lone 0
+        lambda t: "  \n \n",
+        lambda t: t[:-1] + "\ud800\n",  # a lone surrogate, which str.encode() refuses
     ], ids=["2**64+1", "2**63", "22-digit-1", "22-digit-1-mid-row", "order-016", "trailing-spaces",
             "one-trailing-space", "double-space", "leading-space", "tab", "no-final-newline", "crlf",
             "blank-last-line", "blank-line", "rows-rejoined", "token-moved", "rows-joined-by-tabs",
             "leading-space-tokens-merged", "double-space-tokens-merged", "tab-in-a-token",
             "tab-in-a-token-another-shortened", "last-row-split", "superscript-order", "plus", "out-of-range", "zero",
-            "token-01", "order-0", "order-00", "order-0-blank-line", "no-rows", "5000-digit-order"])
+            "token-01", "order-0", "order-00", "order-0-blank-line", "no-rows", "5000-digit-order",
+            "order-2**32+16", "order-2**32-1", "empty", "newline-only", "whitespace-only", "lone-surrogate"])
     def test_layout_edges(self, edit):
         text = edit(to_text(random_latin_square(16, seed=1)))
         assert text != to_text(random_latin_square(16, seed=1))
