@@ -141,10 +141,11 @@ def _check_row(row, i: int, n: int) -> None:
 
 
 def _check_rows(table: np.ndarray, base: int) -> None:
-    """Raise the first violation of the first row that is no permutation of base..base+n-1."""
-    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(base, base + len(table))).any(axis=1))
+    """Raise the first violation of the first row not a permutation of base..base+n-1 (n: row length)."""
+    n = table.shape[1]
+    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(base, base + n)).any(axis=1))
     if bad.size:  # named in 1-based symbols, as Python ints: no wrap
-        _check_row([v + 1 - base for v in table[bad[0]].tolist()], int(bad[0]) + 1, len(table))
+        _check_row([v + 1 - base for v in table[bad[0]].tolist()], int(bad[0]) + 1, n)
 
 
 def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
@@ -255,14 +256,17 @@ def parse_text(text: str) -> LatinSquare:
             del values  # before the write-back encodes the text, so the two are never held at once
             if all(a == b for a, b in zip_longest(text_lines(square), io.BytesIO(text.encode()))):
                 return square
+        values = square = None  # nor is either held while the rows are read
     return _parse_rows(text)
 
 
 def _parse_rows(text: str) -> LatinSquare:
     """Parse one row at a time, reading symbols as int() does and skipping blank lines
     and '#' lines; a Latin-property error comes only if all of it parses."""
-    lines = text.splitlines()
-    data = ((lineno, stripped.split()) for lineno, stripped in enumerate(map(str.strip, lines), start=1)
+    lines = text.splitlines()[::-1]  # popped in file order, so each line is freed once read
+    nlines = len(lines)
+    data = ((lineno, stripped.split()) for lineno, stripped in
+            enumerate(map(str.strip, (lines.pop() for _ in range(nlines))), start=1)
             if stripped and not stripped.startswith("#"))
     lineno, head = next(data, (1, []))
     if len(head) != 1:
@@ -270,22 +274,28 @@ def _parse_rows(text: str) -> LatinSquare:
     order = _int(head[0], "order", lineno, 1)
     if order < 1:
         raise ParseError(f"order must be positive, got {order}", lineno, 1)
-    rows = []
+    dtype = np.min_scalar_type(order - 1)
+    rows, bad, count = [], None, 0
     for lineno, tokens in data:
-        if len(rows) == order or len(tokens) != order:
-            raise ParseError("unexpected content after the last row" if len(rows) == order
+        if count == order or len(tokens) != order:
+            raise ParseError("unexpected content after the last row" if count == order
                              else f"expected {order} symbols, got {len(tokens)}", lineno)
+        count += 1
         try:
-            rows.append(np.fromiter(map(int, tokens), np.int64))  # no count=: see CHANGES.md on heap churn
+            row = np.fromiter(map(int, tokens), np.int64)  # no count=: see CHANGES.md on heap churn
         except (ValueError, OverflowError):  # a bad token raises; a symbol beyond int64 stays an int
-            rows.append([_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)])
-    if len(rows) != order:
-        raise ParseError(f"expected {order} rows, got {len(rows)}", len(lines))
-    with suppress(OverflowError):  # as in validate, which names a symbol beyond int64
-        if 1 <= (table := np.array(rows, dtype=np.int64)).min() and table.max() <= order:
-            return LatinSquare(table - 1)
-        _check_rows(table, 1)
-    return validate(rows)
+            row = [_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)]
+        if bad is None and isinstance(row, np.ndarray) and 1 <= row.min() and row.max() <= order:
+            rows.append((row - 1).astype(dtype))
+        elif bad is None:  # kept as given; later rows are only parsed, so a ParseError still comes first
+            bad = row
+    if count != order:
+        raise ParseError(f"expected {order} rows, got {count}", nlines)
+    if bad is not None:  # a repeat in a row above it comes first, then bad's own first violation
+        if rows:
+            _check_rows(np.array(rows), 0)
+        _check_row(bad, len(rows) + 1, order)
+    return LatinSquare(np.array(rows))
 
 
 def _int(token: str, what: str, lineno: int, col: int) -> int:
