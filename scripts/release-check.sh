@@ -26,13 +26,13 @@ test "$script" = "$module"
 "$@" make-square 256 --seed 1 --out sq256.txt
 digest=$("$@" gen sq256.txt --shift-var 3 9 --length 1048576 --stdout | sha256sum)
 test "$digest" = "2237958bf186dcf862155c49a51c7668be83b14874fed772c30ff50bb44119b9  -"
-# numpy reads that file in one call; with CRLF line ends the row-by-row reader reads it:
-# the two readers must give the same stream on both numpy lines
+# numpy reads each row of that file; with CRLF line ends each row is stripped and read
+# by numpy too: both must give the same stream on both numpy lines
 sed 's/$/\r/' sq256.txt > sq256crlf.txt
 digest=$("$@" gen sq256crlf.txt --shift-var 3 9 --length 1048576 --stdout | sha256sum)
 test "$digest" = "2237958bf186dcf862155c49a51c7668be83b14874fed772c30ff50bb44119b9  -"
-# a leading zero on one symbol: numpy reads that text too, but the square does not write
-# it back, so the row-by-row reader reads it again and must give the same stream
+# a leading zero on one symbol: its row's digit count differs from its values', so
+# int() reads that row token by token and must give the same stream
 sed '2s/^/0/' sq256.txt > sq256zero.txt
 digest=$("$@" gen sq256zero.txt --shift-var 3 9 --length 1048576 --stdout | sha256sum)
 test "$digest" = "2237958bf186dcf862155c49a51c7668be83b14874fed772c30ff50bb44119b9  -"
@@ -47,9 +47,9 @@ digest=$(sha256sum < sq1000.txt)
 test "$digest" = "47e8bb3b7a8cc5b797361ead1517a341edacd7dac820a8600323c1eef34822b7  -"
 "$@" validate-square sq1000.txt
 # validate-square at order 4096 (a 79 MB file) peaks under 300 MiB, measured from a
-# spawning process so that only the command's own RSS counts: the valid file, read by
-# numpy in one call; a copy with row 1's first symbol set to its second, which must be
-# rejected; and a CRLF copy, read row by row
+# spawning process so that only the command's own RSS counts: the valid file; a copy
+# with row 1's first symbol set to its second, which must be rejected; and a CRLF copy.
+# numpy reads each row of all three
 "$@" make-square 4096 --seed 1 --out sq4096.txt
 sed '2s/^\([0-9]*\) \([0-9]*\)/\2 \2/' sq4096.txt > sq4096repeat.txt
 sed 's/$/\r/' sq4096.txt > sq4096crlf.txt

@@ -8,9 +8,8 @@ every symbol occurs exactly once per row and once per column.  Symbols are
 from __future__ import annotations
 
 import copyreg
-import io
 from contextlib import suppress
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -229,8 +228,7 @@ def random_latin_square(n: int, seed: int) -> LatinSquare:
 
 def text_lines(square: LatinSquare) -> Iterator[bytes]:
     """:func:`to_text`'s lines as ASCII bytes, one at a time, each ending in a newline.
-    The one definition of the layout: :func:`parse_text` keeps a fast read only if these
-    lines give back the text's bytes."""
+    The one definition of the layout."""
     yield b"%d\n" % square.order
     names = np.array([b"%d " % k for k in range(1, square.order + 1)])  # symbol-1 -> "k ", NUL-padded (S dtype)
     for row in square.table0:
@@ -242,60 +240,51 @@ def to_text(square: LatinSquare) -> str:
     return b"".join(text_lines(square)).decode()
 
 
+_TENS = 10 ** np.arange(19)  # int64; how many of these a value reaches is its digit count
+
+
 def parse_text(text: str) -> LatinSquare:
-    """Parse :func:`to_text`'s format.  An ASCII text of nothing but digits, spaces and newlines
-    is read by numpy in one call, and its square is kept only if :func:`text_lines` writes it
-    back line for line as the text.  Every text not kept is read one row at a time by
-    :func:`_parse_rows`, which also names every error."""
-    if text.isascii() and not text.encode().translate(None, b"0123456789 \n"):
-        values = np.fromstring(text, np.int32, sep=" ")  # a token beyond int32 wraps or clamps
-        with suppress(IndexError, ValueError):  # no order, no n x n body, or no Latin square
-            n = int(values[0])
-            values -= 1  # symbol-1, as the table stores it
-            square = LatinSquare(values[1:].reshape(n, n))
-            del values  # before the write-back encodes the text, so the two are never held at once
-            if all(a == b for a, b in zip_longest(text_lines(square), io.BytesIO(text.encode()))):
-                return square
-        values = square = None  # nor is either held while the rows are read
-    return _parse_rows(text)
-
-
-def _parse_rows(text: str) -> LatinSquare:
-    """Parse one row at a time, reading symbols as int() does and skipping blank lines
-    and '#' lines; a Latin-property error comes only if all of it parses."""
+    """Parse :func:`to_text`'s format one row at a time, reading symbols as int() does and
+    skipping blank lines and '#' lines; a Latin-property error comes only if all of it parses.
+    numpy reads a row of ASCII digits and spaces whose n values are at most n and have its digit
+    count (no 0, leading zero, or clamped or wrapped token); int() reads every other row."""
     lines = text.splitlines()[::-1]  # popped in file order, so each line is freed once read
     nlines = len(lines)
-    data = ((lineno, stripped.split()) for lineno, stripped in
+    data = ((lineno, stripped) for lineno, stripped in
             enumerate(map(str.strip, (lines.pop() for _ in range(nlines))), start=1)
             if stripped and not stripped.startswith("#"))
-    lineno, head = next(data, (1, []))
-    if len(head) != 1:
+    lineno, head = next(data, (1, ""))
+    if len(head := head.split()) != 1:
         raise ParseError("expected a single order value" if head else "empty input", lineno)
     order = _int(head[0], "order", lineno, 1)
     if order < 1:
         raise ParseError(f"order must be positive, got {order}", lineno, 1)
-    dtype = np.min_scalar_type(order - 1)
+    dtype = np.min_scalar_type(order)  # holds the symbols 1..order
     rows, bad, count = [], None, 0
-    for lineno, tokens in data:
-        if count == order or len(tokens) != order:
-            raise ParseError("unexpected content after the last row" if count == order
-                             else f"expected {order} symbols, got {len(tokens)}", lineno)
+    for lineno, line in data:
+        if count == order:
+            raise ParseError("unexpected content after the last row", lineno)
         count += 1
-        try:
-            row = np.fromiter(map(int, tokens), np.int64)  # no count=: see CHANGES.md on heap churn
-        except (ValueError, OverflowError):  # a bad token raises; a symbol beyond int64 stays an int
+        if not (line.isascii() and not line.encode().translate(None, b"0123456789 ")
+                and (row := np.fromstring(line, np.int64, sep=" ")).size == order
+                and np.maximum.reduce(row) <= order
+                and np.add.reduce(_TENS.searchsorted(row, "right")) == len(line) - line.count(" ")):
+            if len(tokens := line.split()) != order:
+                raise ParseError(f"expected {order} symbols, got {len(tokens)}", lineno)
             row = [_int(token, "symbol", lineno, col) for col, token in enumerate(tokens, start=1)]
-        if bad is None and isinstance(row, np.ndarray) and 1 <= row.min() and row.max() <= order:
-            rows.append((row - 1).astype(dtype))
-        elif bad is None:  # kept as given; later rows are only parsed, so a ParseError still comes first
-            bad = row
+            if bad is None and not 1 <= min(row) <= max(row) <= order:
+                bad = row  # kept as given; later rows are only parsed, so a ParseError still comes first
+        if bad is None:
+            rows.append(np.asarray(row, dtype))
     if count != order:
         raise ParseError(f"expected {order} rows, got {count}", nlines)
+    rows = np.array(rows)  # one table, and the row list goes before it is checked
+    rows -= 1  # symbol-1, as the table stores it
     if bad is not None:  # a repeat in a row above it comes first, then bad's own first violation
-        if rows:
-            _check_rows(np.array(rows), 0)
+        if len(rows):
+            _check_rows(rows, 0)
         _check_row(bad, len(rows) + 1, order)
-    return LatinSquare(np.array(rows))
+    return LatinSquare(rows)
 
 
 def _int(token: str, what: str, lineno: int, col: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -129,8 +130,8 @@ class TestValidateSquare:
     @pytest.mark.parametrize("command, bound", [("make-square", 2), ("validate-square", 4)])
     def test_peak_memory_grows_no_faster_than_the_file(self, square_file_peaks, command, bound):
         # the file grows ~4.5x from order 1024 to 2048.  Per byte of that growth, make-square's
-        # peak grows 1.1 bytes, and validate-square's 3.4 (5.3 while the fast read kept an
-        # encoded copy of the text and a joined write-back)
+        # peak grows 1.1 bytes, and validate-square's 2.4 (3.3 with a whole-text read checked
+        # by writing the square back, 5.3 when that read kept an encoded copy of the text)
         (small_size, small_peak), (large_size, large_peak) = square_file_peaks[command]
         assert large_peak - small_peak <= bound * (large_size - small_size), (small_peak, large_peak)
 
@@ -217,7 +218,7 @@ class TestGen:
         assert result.stderr.decode().splitlines() == ["qgrand gen: line 3: byte 0xff is not ASCII"]
 
     def test_order_line_beyond_int_digit_limit_is_not_an_integer(self, tmp_path):
-        # int() refuses 5000 digits with a plain ValueError; the exact reader names the token
+        # int() refuses 5000 digits with a plain ValueError; parse_text names the token
         path = tmp_path / "big.txt"
         path.write_text("1" * 5000 + "\n1\n")
         checked = run_cli("validate-square", path)
@@ -644,3 +645,26 @@ class TestCompare:
 
     def test_missing_square_file_is_data_error(self):
         assert run_cli("compare", "qg:file=/no/such/file,const=2", "kiss", "--size", 1000).returncode == 1
+
+
+class TestReleaseDigests:
+    """The digests scripts/release-check.sh pins on an installed package, checked in process."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t,
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\n0", 1),
+        lambda t: "# make-square 256 --seed 1\n" + t.replace("\n", "\n# row\n\n"),
+    ], ids=["lf", "crlf", "leading-zero-on-line-2", "commented"])
+    def test_order_256_stream_from_each_text_of_its_square(self, edit):
+        square = latin.parse_text(edit(to_text(random_latin_square(256, seed=1))))
+        stream = generate(GeneratorConfig(square, VariableShift(3, 9)), 1048576)
+        assert hashlib.sha256(stream).hexdigest() == \
+            "2237958bf186dcf862155c49a51c7668be83b14874fed772c30ff50bb44119b9"
+
+    def test_compare_stdout(self, capsysbinary):
+        code, out, err = run_main(["compare", "qg:order=256,seed=1,const=7", "kiss", "--size", 1000000],
+                                  capsysbinary)
+        assert code in (0, 3) and err == b"", (code, err)
+        assert hashlib.sha256(out).hexdigest() == \
+            "d35143c6e78eaafa849208644c266de2cd936d3a0d1ed45fb8793f6c0ed4d199"

@@ -314,18 +314,18 @@ class TestTextFormat:
             assert parse_text(text) == square
 
     @pytest.mark.parametrize("fn, edit, error, bound", [
-        (parse_text, None, None, 3),
-        (parse_text, lambda t: t.replace("\n", "\r\n"), None, 3),
-        (parse_text, lambda t: re.sub(r"\n(\d+) (\d+) ", r"\n\2 \2 ", t, count=1), DuplicateInRow, 3),
-        (parse_text, lambda t: t[:t.rindex(" ") + 1] + "0\n", SymbolOutOfRange, 3),
+        (parse_text, None, None, 2),
+        (parse_text, lambda t: t.replace("\n", "\r\n"), None, 2),
+        (parse_text, lambda t: re.sub(r"\n(\d+) (\d+) ", r"\n\2 \2 ", t, count=1), DuplicateInRow, 2),
+        (parse_text, lambda t: t[:t.rindex(" ") + 1] + "0\n", SymbolOutOfRange, 2),
         (to_text, None, None, 5),
     ], ids=["parse_text", "parse_text-crlf", "parse_text-repeat-in-row-1", "parse_text-last-cell-0", "to_text"])
     def test_peak_memory_at_order_1024(self, fn, edit, error, bound):
         # a whole-file token list took 22.8x the text, and formatting rows() as lists of
-        # Python ints 10.2x; numpy reading the str itself, with the write-back compared line
-        # by line, takes 2.3x (an encoded copy kept beside the text, and a joined write-back, 4.6x).
-        # The exact reader took 8.5-10.5x on the edited texts while it built int64 tables and kept
-        # the fast read's values; keeping each row as symbol-1 once read takes what the fast read does
+        # Python ints 10.2x.  Reading each row as it is popped from the line list, keeping it
+        # narrow and dropping the row list once the table is made, takes 1.31x, most of it the
+        # line list; a whole-text numpy read beside a row-by-row reader took 2.3x, and int64
+        # tables beside its values 8.5-10.5x
         square = random_latin_square(1024, seed=1)
         text = to_text(square) if edit is None else edit(to_text(square))
         tracemalloc.start()
@@ -338,8 +338,9 @@ class TestTextFormat:
         assert peak <= bound * len(text), peak / len(text)
 
     def test_out_of_range_symbol_costs_what_a_valid_parse_does(self):
-        # each row is checked against 1..n as it is read and kept as symbol-1: walking every
-        # row as numpy scalars took 18x the text, and int64 tables beside the fast read's values 8.9x
+        # each row is checked against 1..n as it is read and kept narrow: walking every
+        # row as numpy scalars took 18x the text, int64 tables beside a whole-text read's values
+        # 8.9x, and a reader that reread a rejected whole-text read row by row 2.5x
         text = to_text(random_latin_square(512, seed=1))
         text = text[:text.rindex(" ") + 1] + "0\n"  # the last symbol
         tracemalloc.start()
@@ -349,7 +350,7 @@ class TestTextFormat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * len(text), peak / len(text)
+        assert peak <= 2 * len(text), peak / len(text)
 
     @pytest.mark.parametrize("text, order, line", [("1000000000\n", 1000000000, 1),
                                                    ("# big\n65536\n\n# no rows\n", 65536, 4)])
@@ -368,16 +369,19 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("order", [1, 2, 9, 10, 16, 99, 100, 101, 256, 300])
     def test_own_layout_is_read_in_one_call(self, order, monkeypatch):
-        # numpy reads to_text's layout, at every digit width; the row-by-row reader is left
-        # for every other text
+        # numpy reads each row of to_text's layout in one call, at every digit width; int()
+        # reads the order line, and no token of any row
         square = validate([[1]]) if order == 1 else random_latin_square(order, seed=order)
         text = to_text(square)
+        calls = []
 
-        def refuse(text):
-            raise AssertionError("to_text's layout reached the row-by-row reader")
+        def counted(token, *where):
+            calls.append(token)
+            return int(token)
 
-        monkeypatch.setattr(latin, "_parse_rows", refuse)
+        monkeypatch.setattr(latin, "_int", counted)
         assert parse_text(text) == square
+        assert calls == [str(order)]
 
 
 def test_equality_and_hash():
@@ -603,8 +607,8 @@ class TestAgainstReference:
     def test_parse_text(self, text):
         assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
 
-    # edits of to_text's layout: each leaves it, so the row-by-row reader must read it or
-    # name its error.  numpy clamps 2**64 + 1 to 2**63 - 1, and another numpy may wrap it to 1
+    # edits of to_text's layout: each edited row must be read as int() reads it, or its error
+    # named.  numpy clamps 2**64 + 1 to 2**63 - 1, and another numpy may wrap it to 1
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("\n1 ", "\n18446744073709551617 ", 1),
         lambda t: t.replace("\n1 ", "\n9223372036854775808 ", 1),
@@ -656,8 +660,9 @@ class TestAgainstReference:
         assert text != to_text(random_latin_square(16, seed=1))
         assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
 
-    # the exact reader keeps rows in uint16 above order 256: CRLF texts, so that it reads them,
-    # with cells set as (line, token, text); None repeats the token to its right
+    # the table is uint16 above order 256; numpy reads every row but the edited ones, with LF
+    # or CRLF ends.  Cells are set as (line, token, text), where text's {} is the token it
+    # replaces and None repeats the token to its right; a text that holds a square expects its dtype
     @pytest.mark.parametrize("order", [257, 300])
     @pytest.mark.parametrize("cells, error", [
         ([(2, 0, None), (5, 0, "0")], DuplicateInRow),
@@ -665,26 +670,31 @@ class TestAgainstReference:
         ([(2, 0, None), (3, 7, "18446744073709551617")], DuplicateInRow),
         ([(-1, 3, "-9223372036854775808")], SymbolOutOfRange),
         ([(4, 0, "0"), (-1, -1, "x")], ParseError),
+        ([(2, 5, "0{}"), (7, -1, "00{}")], np.dtype(np.uint16)),
+        ([(3, 0, "+5"), (3, 1, "+5")], DuplicateInRow),
+        ([(3, 2, "+{}"), (6, 0, "0{}"), (6, 1, "+0{}")], np.dtype(np.uint16)),
     ], ids=["repeat-above-0", "0-above-repeat", "beyond-int64-below-repeat", "most-negative-in-last-row",
-            "bad-token-after-out-of-range"])
+            "bad-token-after-out-of-range", "leading-zero", "plus-5-repeated", "plus-and-leading-zero"])
     def test_uint16_orders(self, order, cells, error):
         lines = [line.split(" ") for line in to_text(random_latin_square(order, seed=order)).splitlines()]
         for line, token, value in cells:
-            lines[line][token] = lines[line][token + 1] if value is None else value
-        text = "\r\n".join(map(" ".join, lines)) + "\r\n"
-        outcome = _outcome(parse_text, text)
-        assert outcome == _outcome(parse_text_reference, text)
-        assert outcome[0] is error
+            lines[line][token] = lines[line][token + 1] if value is None else value.format(lines[line][token])
+        for end in ("\n", "\r\n"):
+            text = end.join(map(" ".join, lines)) + end
+            outcome = _outcome(parse_text, text)
+            assert outcome == _outcome(parse_text_reference, text)
+            assert outcome[0] is error
 
     def test_overflowing_token_under_a_wrapping_parse(self, monkeypatch):
         # another numpy may wrap a token beyond int64 instead of clamping it: 2**64 + 1
-        # must not read as the 1 it replaced
+        # must not read as the 1 it replaced, in a uint8 or a uint16 table
         def wrapping_fromstring(raw, dtype, sep):
             return np.array([(int(t) + 2**63) % 2**64 - 2**63 for t in raw.split()], dtype)
 
-        text = to_text(random_latin_square(16, seed=1)).replace("\n1 ", f"\n{2**64 + 1} ", 1)
         monkeypatch.setattr(np, "fromstring", wrapping_fromstring)
-        assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
+        for order in (16, 300):
+            text = to_text(random_latin_square(order, seed=1)).replace("\n1 ", f"\n{2**64 + 1} ", 1)
+            assert _outcome(parse_text, text) == _outcome(parse_text_reference, text)
 
     @pytest.mark.parametrize("order", [16, 256])
     def test_valid_squares(self, order):
