@@ -21,6 +21,12 @@ test "$script" = "$module"
 "$@" test --self-gen 'qg:order=16,seed=1,const=7' --length 300000 || test $? -eq 3
 # KISS's wide lanes through the console script, on both numpy lines
 "$@" compare 'qg:order=16,seed=1,const=7' kiss --size 300000 || test $? -eq 3
+# a qg spec is always byte-mapped, so an order above 256 is refused before its square
+# is built: exit 1 and one stderr line, on both numpy lines
+code=0
+err=$("$@" test --self-gen 'qg:order=8192,seed=1,const=7' 2>&1 >/dev/null) || code=$?
+test "$code" -eq 1
+test "$err" = "qgrand test: byte output needs order <= 256, got 8192"
 # phase 3 copies 256-byte rows in bands, a path chosen by the row stride: pin an
 # order-256 stream on both numpy lines (digest from the whole-matrix copy)
 "$@" make-square 256 --seed 1 --out sq256.txt

@@ -90,9 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=_order, help=f"square order (2..{latin.MAX_ORDER})")
     p.add_argument("--seed", type=_seed, default=1, help="construction seed, 0..2^64-1 (default 1)")
     p.add_argument("--out", required=True, help="output path (text format)")
+    p.set_defaults(handler=_cmd_make_square)
 
     p = sub.add_parser("validate-square", help="check a square file for the Latin property")
     p.add_argument("path", help="square file to validate")
+    p.set_defaults(handler=_cmd_validate_square)
 
     p = sub.add_parser("gen", help="generate a stream from a square file")
     p.add_argument("square", help="square file (text format)")
@@ -109,18 +111,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sink.add_argument("--out", help="output path")
     sink.add_argument("--stdout", action="store_true",
                       help="write to stdout (required for raw bytes without --out)")
+    p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("test", help="run the battery on a byte stream")
+    test = p = sub.add_parser("test", help="run the battery on a byte stream")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("input", nargs="?", help="file of raw bytes to test")
     source.add_argument("--self-gen", metavar="SPEC",
                         help="generator spec to test instead of a file (see compare --help)")
     p.add_argument("--length", type=_nonnegative,
                    help="bytes to generate with --self-gen (default 10000000)")
-    p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
-    p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
+    p.set_defaults(handler=_cmd_test)
 
-    p = sub.add_parser(
+    compare = p = sub.add_parser(
         "compare",
         help="side-by-side battery run of two generators",
         epilog=(
@@ -133,8 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gen_b", help="second generator spec")
     p.add_argument("--size", type=_nonnegative, default=10_000_000,
                    help="bytes generated from each (default 10000000)")
-    p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
-    p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
+    p.set_defaults(handler=_cmd_compare)
+    for p in (test, compare):  # the battery's counts, last in both
+        p.add_argument("--n-matrices", type=_positive, help="rank-test matrix count (default: auto)")
+        p.add_argument("--n-tuples", type=_positive, help="permutation-test tuple count (default: auto)")
     return parser
 
 
@@ -181,6 +185,8 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
         fields = parser.parse_args(["--" + item for item in items])
         if (fields.order is None) != (fields.seed is None):
             raise _UsageError("qg spec takes seed= with order= and only with it")
+        if fields.file is None:  # refused before building a square that could never run
+            engine.check_byte_map(fields.order)
         square = (_load_square(fields.file) if fields.file is not None
                   else latin.random_latin_square(fields.order, fields.seed))
         config = engine.GeneratorConfig(square, _shift(fields), engine.OutputMap.BYTES)
@@ -268,21 +274,12 @@ def _cmd_compare(args) -> int:
     return _run_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args)
 
 
-_HANDLERS = {
-    "make-square": _cmd_make_square,
-    "validate-square": _cmd_validate_square,
-    "gen": _cmd_gen,
-    "test": _cmd_test,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (_UsageError, ValueError, OSError) as exc:  # the same prefix as argparse's own errors
+        return args.handler(args)
+    except (_UsageError, ValueError, OSError, MemoryError) as exc:  # argparse's own prefix
         print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DATA
 

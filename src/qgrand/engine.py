@@ -80,8 +80,14 @@ class GeneratorConfig:
             raise TypeError(f"unsupported shift mode {self.shift_mode!r}")
         if not isinstance(self.output_map, OutputMap):  # compared by identity below and in next_block
             raise TypeError(f"unsupported output map {self.output_map!r}")
-        if self.output_map is OutputMap.BYTES and n > 256:
-            raise OrderTooLargeForBytes(f"byte output needs order <= 256, got {n}")
+        if self.output_map is OutputMap.BYTES:
+            check_byte_map(n)
+
+
+def check_byte_map(order: int) -> None:
+    """Raise OrderTooLargeForBytes unless the byte map covers a square of this order."""
+    if order > 256:
+        raise OrderTooLargeForBytes(f"byte output needs order <= 256, got {order}")
 
 
 def _check_integer(name: str, value) -> None:
@@ -197,9 +203,8 @@ def blocks(config: GeneratorConfig, length: int) -> Iterator[np.ndarray]:
 def generate(config: GeneratorConfig, length_bytes: int) -> bytes:
     """Concatenate blocks into exactly `length_bytes` bytes (byte mapping only)."""
     if config.output_map is not OutputMap.BYTES:  # GeneratorConfig caps the byte map at order 256
-        n = config.square.order
-        raise (OrderTooLargeForBytes(f"order {n} > 256") if n > 256
-               else ValueError("generate() requires the byte output mapping"))
+        check_byte_map(config.square.order)
+        raise ValueError("generate() requires the byte output mapping")
     out = io.BytesIO()
     out.writelines(blocks(config, length_bytes))
     return out.getvalue()  # with no view of it alive, BytesIO hands over its own buffer, uncopied

@@ -79,7 +79,7 @@ class LatinSquare:
             raise SymbolOutOfRange("entry at (1,1) is not an integer", 1, 1)
         if table0.itemsize == 1:  # exact; numpy sorts int16 ~10-40x faster than 8-bit integers
             table0 = table0.astype(np.int16)
-        _check_rows(table0, 0)
+        _check_rows(table0)
         bad_cols = np.flatnonzero((np.sort(table0, axis=0) != np.arange(n)[:, None]).any(axis=0))
         if bad_cols.size:
             raise DuplicateInColumn(int(bad_cols[0]) + 1)
@@ -139,12 +139,12 @@ def _check_row(row, i: int, n: int) -> None:
         raise DuplicateInRow(i)
 
 
-def _check_rows(table: np.ndarray, base: int) -> None:
-    """Raise the first violation of the first row not a permutation of base..base+n-1 (n: row length)."""
+def _check_rows(table: np.ndarray) -> None:
+    """Raise the first violation of the first row of symbol-1 values not a permutation of 0..n-1."""
     n = table.shape[1]
-    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(base, base + n)).any(axis=1))
+    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(n)).any(axis=1))
     if bad.size:  # named in 1-based symbols, as Python ints: no wrap
-        _check_row([v + 1 - base for v in table[bad[0]].tolist()], int(bad[0]) + 1, n)
+        _check_row([v + 1 for v in table[bad[0]].tolist()], int(bad[0]) + 1, n)
 
 
 def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
@@ -165,7 +165,6 @@ def validate(grid: Iterable[Sequence[int]]) -> LatinSquare:
         with suppress(OverflowError):  # from np.array: an integer beyond int64 is out of range
             if 1 <= (table := np.array(rows, dtype=np.int64)).min() and table.max() <= n:
                 return LatinSquare(table - 1)
-            _check_rows(table, 1)  # a symbol is out of range, so some row raises
     for i, row in enumerate(rows, start=1):  # some cell is invalid, so some row raises
         _check_row(row, i, n)
     raise AssertionError("a grid with an invalid cell passed every row check")
@@ -282,7 +281,7 @@ def parse_text(text: str) -> LatinSquare:
     rows -= 1  # symbol-1, as the table stores it
     if bad is not None:  # a repeat in a row above it comes first, then bad's own first violation
         if len(rows):
-            _check_rows(rows, 0)
+            _check_rows(rows)
         _check_row(bad, len(rows) + 1, order)
     return LatinSquare(rows)
 

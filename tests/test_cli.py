@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -145,6 +146,17 @@ class TestValidateSquare:
     def test_missing_file(self, tmp_path):
         result = run_cli("validate-square", tmp_path / "absent.txt")
         assert result.returncode == 1
+
+    def test_non_ascii_byte_past_the_first_8_kib_names_its_line(self, tmp_path):
+        # a decoder reads the file in chunks (8 KiB by default): the line is counted in the
+        # whole file, not in the chunk that holds the byte
+        text = to_text(random_latin_square(64, seed=1)).encode()
+        path = tmp_path / "late.txt"
+        path.write_bytes(text[:8787] + b"\xff" + text[8787:])  # 8787 is where line 50 starts
+        assert path.stat().st_size == 11716
+        result = run_cli("validate-square", path)
+        assert result.returncode == 1
+        assert result.stderr.decode().splitlines() == ["invalid square: line 50: byte 0xff is not ASCII"]
 
 
 class TestGen:
@@ -457,6 +469,36 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("spec", ["qg:order=8192,seed=1,const=7", "qg:order=8192,seed=1,var=9000:1"])
+    def test_byte_map_order_refused_before_building(self, spec, monkeypatch, capsys):
+        # a qg spec is always byte-mapped, so above order 256 it can never run; a bad var
+        # cell in the same spec is not reached
+        def refuse(*args):
+            raise AssertionError("square built for an order the byte map cannot cover")
+
+        monkeypatch.setattr(latin, "random_latin_square", refuse)
+        code, out, err = run_main(["test", "--self-gen", spec], capsys)
+        assert (code, out, err) == (1, "", "qgrand test: byte output needs order <= 256, got 8192\n")
+
+    def test_byte_map_order_refused_in_little_memory(self):
+        # building the order-8192 square first took ~350 MiB
+        code, kib = run_peak_rss([sys.executable, "-m", "qgrand", "test", "--self-gen",
+                                  "qg:order=8192,seed=1,const=7"])
+        assert code == 1 and kib < 100 * 1024, (code, kib)
+
+    def test_out_of_memory_is_one_line(self, tmp_path):
+        # an order-65536 square needs 8 GiB; under a 1.5 GiB address-space cap, set in
+        # the child only, numpy's allocation fails
+        cap = 3 << 29
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        result = run_cli("make-square", 65536, "--out", tmp_path / "big.txt", preexec_fn=limit_memory)
+        assert (result.returncode, result.stdout) == (1, b"")
+        err = result.stderr.decode()
+        assert err.startswith("qgrand make-square: ") and len(err.splitlines()) == 1, err
 
     def test_spec_errors_name_keys_as_typed(self, capsys):
         code, out, err = run_main(["compare", "qg:order=8,seed=1,const=2,bogus=1", "kiss"], capsys)

@@ -445,6 +445,82 @@ class TestShiftRecovery:
         assert best < 0.5, best  # read 0.156 and 0.0625
 
 
+def write_cells(table, b0, b1, shift):
+    """Write into `table` (symbol-1, -1 where unknown) the cells of the secret square L that
+    block b1 names: b1[p] = L[v[p], v[p+1 mod n^2]], where v is b0 after phase 3's transpose
+    and rotation by `shift`.  Returns how many writes disagree with a cell's known value or
+    with another write to it in b1 (0 for a real block pair)."""
+    n = len(table)
+    v = transpose_rotate(b0.reshape(n, n), shift).ravel()
+    rows, cols = v, np.roll(v, -1)
+    before = table[rows, cols]
+    table[rows, cols] = b1  # where b1 writes a cell twice, the last write stays
+    return np.count_nonzero((before >= 0) & (before != b1)) + np.count_nonzero(table[rows, cols] != b1)
+
+
+def complete(table):
+    """Each row and column of a Latin square holds 0..n-1 once, so a line with one unknown
+    cell names it.  Fill such cells, rows then columns, until a round fills none.  (In a
+    table that is not Latin, a fill may read -1 and leave its cell unknown.)"""
+    total = len(table) * (len(table) - 1) // 2
+    unknown_cells = None
+    while unknown_cells != (unknown_cells := np.count_nonzero(table < 0)):
+        for lines in (table, table.T):  # table.T is a view: its writes land in table
+            unknown = lines < 0
+            one = np.flatnonzero(unknown.sum(axis=1) == 1)  # the unknown cell's -1 is in the sum
+            lines[one, unknown[one].argmax(axis=1)] = total - lines[one].sum(axis=1) - 1
+
+
+class TestStreamPrediction:
+    """What the output gives away, whole: a few consecutive blocks name the secret square,
+    the shift and the var cell, and so every later block."""
+
+    @pytest.mark.parametrize("order,mode,blocks_seen", [
+        (16, ConstantShift(7), 4), (16, VariableShift(3, 9), 4),
+        (256, ConstantShift(7), 7), (256, VariableShift(3, 9), 7),
+    ], ids=["16-const=7", "16-var=3:9", "256-const=7", "256-var=3:9"])
+    def test_blocks_give_away_the_square_and_every_later_block(self, order, mode, blocks_seen):
+        square = random_latin_square(order, seed=1)
+        stream = generate(GeneratorConfig(square, mode), (blocks_seen + 3) * order**2)
+        seen, later = np.split(np.frombuffer(stream, np.uint8).reshape(-1, order**2), [blocks_seen])
+        if isinstance(mode, VariableShift):
+            # each pair's shift s_t - 1 sits in the var cell of block t, transposed: of the
+            # cells that hold it, only that one is left after 3 pairs
+            cells = [{*zip(*np.nonzero(b0.reshape(order, order).T == shift_scores(b0, b1, order).argmax() - 1))}
+                     for b0, b1 in zip(seen[:3], seen[1:4])]
+            var_cell = set.intersection(*cells)
+            assert var_cell == {(mode.x - 1, mode.y - 1)}
+            (x, y), = var_cell
+
+            def shift_of(block):
+                return int(block.reshape(order, order).T[x, y]) + 1
+        else:
+            const = shift_scores(seen[0], seen[1], order).argmax()  # scored once: the same every cycle
+
+            def shift_of(block):
+                return const
+        table = np.full((order, order), -1)
+        for t, (b0, b1) in enumerate(zip(seen, seen[1:]), start=2):
+            assert write_cells(table, b0, b1, shift_of(b0)) == 0
+            complete(table)
+            assert np.array_equal(table, square.table0) == (t == blocks_seen), t
+        block = seen[-1]
+        for want in later:  # the next 3 blocks, from the recovered key alone
+            v = transpose_rotate(block.reshape(order, order), shift_of(block)).ravel()
+            block = table[v, np.roll(v, -1)]
+            assert np.array_equal(block, want)
+
+    @pytest.mark.parametrize("order", [16, 256])
+    def test_random_bytes_name_no_square(self, order):
+        blocks_seen = np.random.default_rng(order).integers(0, order, (7, order**2), dtype=np.uint8)
+        shift = shift_scores(blocks_seen[0], blocks_seen[1], order).argmax()  # the best of no signal
+        table = np.full((order, order), -1)
+        conflicts = sum(write_cells(table, b0, b1, shift) for b0, b1 in zip(blocks_seen, blocks_seen[1:]))
+        complete(table)
+        is_latin = all((np.sort(lines, axis=1) == np.arange(order)).all() for lines in (table, table.T))
+        assert conflicts > 0 or not is_latin
+
+
 class TestGenerate:
     def test_zero_length(self, table1_square):
         config = GeneratorConfig(table1_square, ConstantShift(2), OutputMap.BYTES)
