@@ -21,6 +21,12 @@ test "$script" = "$module"
 "$@" test --self-gen 'qg:order=16,seed=1,const=7' --length 300000 || test $? -eq 3
 # KISS's wide lanes through the console script, on both numpy lines
 "$@" compare 'qg:order=16,seed=1,const=7' kiss --size 300000 || test $? -eq 3
+# compare tests its first source in a forked child: 1000 bytes is too few for every test,
+# so both columns come back insufficient, exit 4 with 8 insufficient machine lines
+code=0
+out=$("$@" compare 'qg:order=16,seed=1,const=7' kiss --size 1000) || code=$?
+test "$code" -eq 4
+test "$(printf '%s\n' "$out" | grep -c 'insufficient:')" -eq 8
 # a qg spec is always byte-mapped, so an order above 256 is refused before its square
 # is built: exit 1 and one stderr line, on both numpy lines
 code=0

@@ -256,10 +256,13 @@ def run_battery(
             except InsufficientInput as exc:
                 entries.append(BatteryEntry(name, test_name, error=exc))
     if sink is not None:
-        sink.write(render_report(entries))
-        sink.write("\n")
-        sink.write(render_machine(entries))
+        write_report(entries, sink)
     return entries
+
+
+def write_report(entries: Sequence[BatteryEntry], sink: IO[str]) -> None:
+    """The rendered report, a blank line, then the machine-readable lines."""
+    sink.write(render_report(entries) + "\n" + render_machine(entries))
 
 
 def _fit(requested: int | None, available: int, default: int, minimum: int) -> int:

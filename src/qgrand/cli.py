@@ -14,6 +14,8 @@ import binascii
 import contextlib
 import gc
 import io
+import os
+import pickle
 import sys
 from typing import Callable
 
@@ -244,11 +246,16 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_battery(sources: dict[str, bytes], args) -> int:
+def _battery(sources: dict[str, bytes], args) -> list:
     from . import battery
 
-    entries = battery.run_battery(
-        sources, sink=sys.stdout, n_matrices=args.n_matrices, n_tuples=args.n_tuples)
+    return battery.run_battery(sources, None, args.n_matrices, args.n_tuples)
+
+
+def _report(entries) -> int:  # test's and compare's exit: 4 if an entry is insufficient, 3 if suspect
+    from . import battery
+
+    battery.write_report(entries, sys.stdout)
     if any(e.error is not None for e in entries):
         return EXIT_INSUFFICIENT
     return EXIT_BATTERY if any(e.result.suspect for e in entries) else EXIT_OK
@@ -263,7 +270,7 @@ def _cmd_test(args) -> int:
     else:
         length = 10_000_000 if args.length is None else args.length
         sources = {args.self_gen: _parse_genspec(args.self_gen)(length)}
-    return _run_battery(sources, args)
+    return _report(_battery(sources, args))
 
 
 def _cmd_compare(args) -> int:
@@ -271,7 +278,27 @@ def _cmd_compare(args) -> int:
     label_a, label_b = args.gen_a, args.gen_b
     if label_a == label_b:
         label_a, label_b = f"A:{label_a}", f"B:{label_b}"
-    return _run_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args)
+    if not hasattr(os, "fork"):  # no fork on this platform: both sources are tested here, in turn
+        return _report(_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args))
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:  # the child tests the first source and leaves only through _exit
+        try:  # it sends back its entries, or the exception that stopped them
+            os.write(write, pickle.dumps(_battery({label_a: produce_a(args.size)}, args)))
+        except Exception as exc:
+            os.write(write, pickle.dumps(exc))  # pickled whole first, so a failed pickle sends nothing
+        finally:
+            os._exit(0)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:  # meanwhile the second source is tested here
+            second = _battery({label_b: produce_b(args.size)}, args)
+        finally:  # the child's result is read and the child reaped on every path
+            sent, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            first = (pickle.loads(sent) if sent else
+                     ChildProcessError(f"{args.gen_a}: no result from its process, exit code {code}"))
+            if isinstance(first, Exception):  # the first spec's error first, as when run in turn
+                raise first
+    return _report(first + second)
 
 
 def main(argv=None) -> int:

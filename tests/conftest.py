@@ -11,6 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
 )
+# numpy loads below with one BLAS thread, as under the CLI's entry point: `compare` forks,
+# and Python 3.12+ warns (an error under this suite's filterwarnings) when a process
+# with more than one thread forks
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from qgrand import random_latin_square, validate
 

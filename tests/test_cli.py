@@ -627,6 +627,10 @@ class TestTest:
         assert run_cli("test").returncode == 2
 
 
+QG256 = "qg:order=256,seed=1,const=7"
+QG16 = "qg:order=16,seed=1,const=7"
+
+
 class TestCompare:
     def test_identical_specs_give_identical_columns(self):
         result = run_cli("compare", "kiss:1,2,3,4", "kiss:1,2,3,4", "--size", 400_000)
@@ -687,6 +691,143 @@ class TestCompare:
 
     def test_missing_square_file_is_data_error(self):
         assert run_cli("compare", "qg:file=/no/such/file,const=2", "kiss", "--size", 1000).returncode == 1
+
+    def test_peak_memory_is_one_streams(self):
+        # each source is produced and tested in its own process, so compare peaks as
+        # `test --self-gen` does at the same length; holding both streams in one
+        # process peaked 48 MiB higher at this length (84 against 132 MiB)
+        def peak_rss_kib(*argv):
+            code, kib = run_peak_rss([sys.executable, "-m", "qgrand", *argv])
+            assert code == 0
+            return kib
+
+        length = 50_000_000
+        alone = peak_rss_kib("test", "--self-gen", QG256, "--length", length)
+        compared = peak_rss_kib("compare", QG256, "kiss", "--size", length)
+        assert compared - alone < 16 * 1024, (alone, compared)
+
+
+def _machine(source, rows):
+    tests = ("frequency", "perm5", "rank_31x31", "rank_32x32")
+    return [f"{test}\t{source}\t{row}" for test, row in zip(tests, rows)]
+
+
+_QG256_1E7 = _machine(QG256, ["258.335027\t255\t0.570062", "105.534400\t119\t0.193663",
+                              "4.009040\t3\t0.739510", "0.713464\t3\t0.129967"])
+_KISS_1E7 = _machine("kiss", ["229.861581\t255\t0.130887", "132.173440\t119\t0.807066",
+                              "4.214706\t3\t0.760806", "2.478320\t3\t0.520778"])
+_KISS_400K = ["212.567040\t255\t0.024725", "95.956000\t119\t0.059524",
+              "1.161431\t3\t0.237731", "4.594521\t3\t0.795987"]
+_INSUFFICIENT = ["NA\tNA\tinsufficient:need=25600,got=1000", "NA\tNA\tinsufficient:need=24000,got=1000",
+                 "NA\tNA\tinsufficient:need=248000,got=1000", "NA\tNA\tinsufficient:need=256000,got=1000"]
+
+
+class TestBatteryStdoutPinned:
+    """`test` and `compare` stdout, pinned from the serial `compare` that held both
+    streams in one process: how the sources are run must not change a byte."""
+
+    @pytest.mark.parametrize("argv,code,machine,digest", [
+        (["compare", QG256, "kiss", "--size", 10_000_000], 0, _QG256_1E7 + _KISS_1E7,
+         "68056ee71e367f6dafda8fe0663bd81da48b6d2d733ec85957cd871f15b19da9"),
+        (["test", "--self-gen", QG256], 0, _QG256_1E7,
+         "dde7e69cd208523026c90bbc1cd58d58f96624ab88742b7ef53cbe312a9e3a58"),
+        (["compare", "kiss", "kiss", "--size", 400_000], 0,
+         _machine("A:kiss", _KISS_400K) + _machine("B:kiss", _KISS_400K),
+         "d47abdcdbbf8d93487a208debbb5943329b0ea122e1d9ea809e1274edffdd050"),
+        (["compare", QG256, "kiss", "--size", 1_000_000, "--n-matrices", 2000, "--n-tuples", 1200], 0,
+         _machine(QG256, ["251.680768\t255\t0.453009", "114.600000\t119\t0.403059",
+                          "2.629940\t3\t0.547735", "2.842014\t3\t0.583370"])
+         + _machine("kiss", ["289.419776\t255\t0.931849", "129.000000\t119\t0.749789",
+                             "0.758257\t3\t0.140577", "1.784528\t3\t0.381693"]),
+         "de9a09b991ed9ca616350d4e0d6a92d3c01f42ecf4f6f13e9e01f97a4b278649"),
+        (["compare", QG16, "kiss", "--size", 1000], 4,
+         _machine(QG16, _INSUFFICIENT) + _machine("kiss", _INSUFFICIENT),
+         "b0a39b9272b8afe5024ab40816766f3f7828400d0cd45fb944c9bfd469cf8485"),
+    ], ids=["compare-1e7", "test-1e7", "compare-same-spec", "compare-explicit-counts", "compare-insufficient"])
+    def test_stdout(self, argv, code, machine, digest, capsysbinary):
+        exit_code, out, err = run_main(argv, capsysbinary)
+        assert (exit_code, err) == (code, b"")
+        assert [line for line in out.decode().splitlines() if "\t" in line] == machine
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.fixture()
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):  # none running, and none left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestCompareProcesses:
+    """compare tests its first source in a forked child and its second in this
+    process; the child inherits this test's monkeypatches."""
+
+    @pytest.mark.parametrize("specs,failing,message", [
+        ((QG16, "kiss"), {"qg"}, "qg failed"),
+        ((QG16, "kiss"), {"kiss"}, "kiss failed"),
+        ((QG16, "kiss"), {"qg", "kiss"}, "qg failed"),
+        (("kiss", QG16), {"qg", "kiss"}, "kiss failed"),  # the first spec's error, whichever ends first
+    ])
+    def test_a_failed_source_is_one_line(self, specs, failing, message, monkeypatch, capsys):
+        from qgrand import engine, kiss
+
+        def fail(text):
+            def produce(*args):
+                raise MemoryError(text)
+            return produce
+
+        if "qg" in failing:
+            monkeypatch.setattr(engine, "generate", fail("qg failed"))
+        if "kiss" in failing:
+            monkeypatch.setattr(kiss.Kiss, "next_bytes", fail("kiss failed"))
+        code, out, err = run_main(["compare", *specs, "--size", 30_000], capsys)
+        assert (code, out, err) == (1, "", f"qgrand compare: {message}\n")
+
+    def test_interrupted_parent_still_reaps_its_child(self, monkeypatch, capsys):
+        from qgrand import kiss
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(kiss.Kiss, "next_bytes", interrupt)  # the second source, tested here
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", QG16, "kiss", "--size", "30000"])
+
+    def test_insufficient_input_crosses_back(self, capsys):
+        code, out, err = run_main(["compare", QG16, "kiss", "--size", 1000], capsys)
+        assert (code, err) == (4, "")
+        rows = out.split("\n\n")[0].splitlines()[2:]
+        assert len(rows) == 4
+        assert all(row.count("insufficient input (need ") == 2 for row in rows), rows
+
+    def test_success_leaves_no_child(self, capsys):
+        code, out, err = run_main(["compare", QG256, "kiss", "--size", 300_000], capsys)
+        assert (code, err) == (0, ""), out
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the first source runs in a child only where fork exists")
+    def test_child_ending_without_a_result_is_one_line(self, monkeypatch, capsys):
+        from qgrand import engine
+
+        parent, generate = os.getpid(), engine.generate
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return generate(*args)
+
+        monkeypatch.setattr(engine, "generate", die_in_child)
+        code, out, err = run_main(["compare", QG16, "kiss", "--size", 30_000], capsys)
+        assert (code, out, err) == (1, "", f"qgrand compare: {QG16}: no result from its process, exit code 9\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "kiss", "kiss", "--size", 400_000],
+        ["compare", QG16, "kiss", "--size", 1000],
+    ])
+    def test_without_fork_the_same_job_runs_inline(self, argv, monkeypatch, capsysbinary):
+        forked = run_main(argv, capsysbinary)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert run_main(argv, capsysbinary) == forked
 
 
 class TestReleaseDigests:
