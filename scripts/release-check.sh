@@ -27,6 +27,12 @@ code=0
 out=$("$@" compare 'qg:order=16,seed=1,const=7' kiss --size 1000) || code=$?
 test "$code" -eq 4
 test "$(printf '%s\n' "$out" | grep -c 'insufficient:')" -eq 8
+# test runs frequency and perm5 in a forked child and the rank tests in its own process:
+# 1000 bytes is too few for all four, so exit 4 with 4 insufficient machine lines
+code=0
+out=$("$@" test --self-gen 'qg:order=16,seed=1,const=7' --length 1000) || code=$?
+test "$code" -eq 4
+test "$(printf '%s\n' "$out" | grep -c 'insufficient:')" -eq 4
 # a qg spec is always byte-mapped, so an order above 256 is refused before its square
 # is built: exit 1 and one stderr line, on both numpy lines
 code=0

@@ -261,16 +261,54 @@ def _report(entries) -> int:  # test's and compare's exit: 4 if an entry is insu
     return EXIT_BATTERY if any(e.result.suspect for e in entries) else EXIT_OK
 
 
+def _in_two_processes(first: Callable[[], list], second: Callable[[], list], label: str) -> list:
+    """first() + second(): first() in a forked child, which pipes back its list or the
+    exception that stopped it, pickled, and leaves only through _exit; second() here
+    meanwhile.  first()'s exception is raised before second()'s, as when run in turn."""
+    if not hasattr(os, "fork"):  # no fork on this platform: both halves run here, in turn
+        return first() + second()
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.write(write, pickle.dumps(first()))
+        except BaseException as exc:  # an interrupt too, which would otherwise read as a silent child
+            os.write(write, pickle.dumps(exc))  # pickled whole first, so a failed pickle sends nothing
+        finally:
+            os._exit(0)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            second_half = second()
+        except Exception as exc:  # raised after the child's, as when the halves run in turn
+            second_half = exc
+        finally:  # the child's result is read and the child reaped on every path, an interrupt's too
+            try:
+                sent = pipe.read()
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    first_half = (pickle.loads(sent) if sent else
+                  ChildProcessError(f"{label}: no result from its process, exit code {code}"))
+    for half in (first_half, second_half):
+        if isinstance(half, BaseException):
+            raise half
+    return first_half + second_half
+
+
 def _cmd_test(args) -> int:
+    from . import battery
+
     if args.input is not None:
         if args.length is not None:
             raise _UsageError("--length applies only to --self-gen, not to an input file")
         with open(args.input, "rb") as fh:
-            sources = {args.input: fh.read()}
+            label, data = args.input, fh.read()
     else:
         length = 10_000_000 if args.length is None else args.length
-        sources = {args.self_gen: _parse_genspec(args.self_gen)(length)}
-    return _report(_battery(sources, args))
+        label, data = args.self_gen, _parse_genspec(args.self_gen)(length)
+    plan = battery._plan(label, data, args.n_matrices, args.n_tuples)
+    # the child shares the stream copy-on-write: frequency and perm5 there, the rank tests here
+    return _report(_in_two_processes(lambda: [battery._entry(*step) for step in plan[:2]],
+                                     lambda: [battery._entry(*step) for step in plan[2:]], label))
 
 
 def _cmd_compare(args) -> int:
@@ -278,27 +316,8 @@ def _cmd_compare(args) -> int:
     label_a, label_b = args.gen_a, args.gen_b
     if label_a == label_b:
         label_a, label_b = f"A:{label_a}", f"B:{label_b}"
-    if not hasattr(os, "fork"):  # no fork on this platform: both sources are tested here, in turn
-        return _report(_battery({label_a: produce_a(args.size), label_b: produce_b(args.size)}, args))
-    read, write = os.pipe()
-    if (pid := os.fork()) == 0:  # the child tests the first source and leaves only through _exit
-        try:  # it sends back its entries, or the exception that stopped them
-            os.write(write, pickle.dumps(_battery({label_a: produce_a(args.size)}, args)))
-        except Exception as exc:
-            os.write(write, pickle.dumps(exc))  # pickled whole first, so a failed pickle sends nothing
-        finally:
-            os._exit(0)
-    os.close(write)
-    with open(read, "rb") as pipe:
-        try:  # meanwhile the second source is tested here
-            second = _battery({label_b: produce_b(args.size)}, args)
-        finally:  # the child's result is read and the child reaped on every path
-            sent, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            first = (pickle.loads(sent) if sent else
-                     ChildProcessError(f"{args.gen_a}: no result from its process, exit code {code}"))
-            if isinstance(first, Exception):  # the first spec's error first, as when run in turn
-                raise first
-    return _report(first + second)
+    return _report(_in_two_processes(lambda: _battery({label_a: produce_a(args.size)}, args),
+                                     lambda: _battery({label_b: produce_b(args.size)}, args), args.gen_a))
 
 
 def main(argv=None) -> int:

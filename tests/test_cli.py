@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -166,6 +167,22 @@ class TestGen:
         )
         assert result.returncode == 0
         assert result.stdout.decode().split() == [str(v) for v in TABLE1_BLOCK0]
+
+    def test_cycles_reuse_the_heap(self, tmp_path):
+        # whether glibc grows the heap for a cycle's buffers and trims it back after, every
+        # cycle, depends on the heap's layout, which shifts with the environment's size: about
+        # 1 in 16 of these layouts did so, at ~84 minor page faults a cycle (256 cycles here)
+        square = tmp_path / "sq256.txt"
+        square.write_text(to_text(random_latin_square(256, seed=1)))
+        faults = []
+        for pad in range(0, 4096, 256):
+            proc = subprocess.Popen([sys.executable, "-m", "qgrand", "gen", square, "--shift-var", "3", "9",
+                                     "--length", str(16 << 20), "--stdout"], stdout=subprocess.DEVNULL,
+                                    env={**os.environ, "QGRAND_TEST_PAD": "x" * pad})
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            faults.append(usage.ru_minflt)
+        assert max(faults) < 12_000, faults
 
     def test_zero_length(self, table1_file):
         result = run_cli("gen", table1_file, "--shift-const", 2, "--length", 0, "--stdout")
@@ -712,8 +729,11 @@ def _machine(source, rows):
     return [f"{test}\t{source}\t{row}" for test, row in zip(tests, rows)]
 
 
-_QG256_1E7 = _machine(QG256, ["258.335027\t255\t0.570062", "105.534400\t119\t0.193663",
-                              "4.009040\t3\t0.739510", "0.713464\t3\t0.129967"])
+_QG256_1E7_ROWS = ["258.335027\t255\t0.570062", "105.534400\t119\t0.193663",
+                   "4.009040\t3\t0.739510", "0.713464\t3\t0.129967"]
+_QG256_1E7 = _machine(QG256, _QG256_1E7_ROWS)
+_QG256_1E6_COUNTS = _machine(QG256, ["251.680768\t255\t0.453009", "114.600000\t119\t0.403059",
+                                     "2.629940\t3\t0.547735", "2.842014\t3\t0.583370"])
 _KISS_1E7 = _machine("kiss", ["229.861581\t255\t0.130887", "132.173440\t119\t0.807066",
                               "4.214706\t3\t0.760806", "2.478320\t3\t0.520778"])
 _KISS_400K = ["212.567040\t255\t0.024725", "95.956000\t119\t0.059524",
@@ -723,8 +743,8 @@ _INSUFFICIENT = ["NA\tNA\tinsufficient:need=25600,got=1000", "NA\tNA\tinsufficie
 
 
 class TestBatteryStdoutPinned:
-    """`test` and `compare` stdout, pinned from the serial `compare` that held both
-    streams in one process: how the sources are run must not change a byte."""
+    """`test` and `compare` stdout, pinned from the runs in one process that came
+    before each used two: how the job is split must not change a byte."""
 
     @pytest.mark.parametrize("argv,code,machine,digest", [
         (["compare", QG256, "kiss", "--size", 10_000_000], 0, _QG256_1E7 + _KISS_1E7,
@@ -735,20 +755,32 @@ class TestBatteryStdoutPinned:
          _machine("A:kiss", _KISS_400K) + _machine("B:kiss", _KISS_400K),
          "d47abdcdbbf8d93487a208debbb5943329b0ea122e1d9ea809e1274edffdd050"),
         (["compare", QG256, "kiss", "--size", 1_000_000, "--n-matrices", 2000, "--n-tuples", 1200], 0,
-         _machine(QG256, ["251.680768\t255\t0.453009", "114.600000\t119\t0.403059",
-                          "2.629940\t3\t0.547735", "2.842014\t3\t0.583370"])
+         _QG256_1E6_COUNTS
          + _machine("kiss", ["289.419776\t255\t0.931849", "129.000000\t119\t0.749789",
                              "0.758257\t3\t0.140577", "1.784528\t3\t0.381693"]),
          "de9a09b991ed9ca616350d4e0d6a92d3c01f42ecf4f6f13e9e01f97a4b278649"),
         (["compare", QG16, "kiss", "--size", 1000], 4,
          _machine(QG16, _INSUFFICIENT) + _machine("kiss", _INSUFFICIENT),
          "b0a39b9272b8afe5024ab40816766f3f7828400d0cd45fb944c9bfd469cf8485"),
-    ], ids=["compare-1e7", "test-1e7", "compare-same-spec", "compare-explicit-counts", "compare-insufficient"])
+        (["test", "--self-gen", QG16, "--length", 1000], 4, _machine(QG16, _INSUFFICIENT),
+         "ece1ff4a325fffc29e8db016c9992981bbb1b8803279560c7991fbde044fef95"),
+        (["test", "--self-gen", QG256, "--length", 1_000_000, "--n-matrices", 2000, "--n-tuples", 1200], 0,
+         _QG256_1E6_COUNTS, "fd77d8188a728030a2b9c5671d2700048f72bb66c2782aa5c4333e52b8812dc4"),
+    ], ids=["compare-1e7", "test-1e7", "compare-same-spec", "compare-explicit-counts", "compare-insufficient",
+            "test-insufficient", "test-explicit-counts"])
     def test_stdout(self, argv, code, machine, digest, capsysbinary):
         exit_code, out, err = run_main(argv, capsysbinary)
         assert (exit_code, err) == (code, b"")
         assert [line for line in out.decode().splitlines() if "\t" in line] == machine
         assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_file_stdout(self, tmp_path, monkeypatch, capsysbinary):
+        # the file's path is its column's label, so the file is named relative to its directory
+        (tmp_path / "qg256.bin").write_bytes(generate(
+            GeneratorConfig(random_latin_square(256, seed=1), ConstantShift(7)), 10_000_000))
+        monkeypatch.chdir(tmp_path)
+        self.test_stdout(["test", "qg256.bin"], 0, _machine("qg256.bin", _QG256_1E7_ROWS),
+                         "f55b5952f5bf58110762d9f55ca9c2f2fd4290c8959657b4f599522f3db06b04", capsysbinary)
 
 
 @pytest.fixture()
@@ -761,7 +793,8 @@ def no_child_left():
 @pytest.mark.usefixtures("no_child_left")
 class TestCompareProcesses:
     """compare tests its first source in a forked child and its second in this
-    process; the child inherits this test's monkeypatches."""
+    process; the child inherits this test's monkeypatches.  The rule is shared with
+    test, whose argvs join the inline case below."""
 
     @pytest.mark.parametrize("specs,failing,message", [
         ((QG16, "kiss"), {"qg"}, "qg failed"),
@@ -820,14 +853,103 @@ class TestCompareProcesses:
         code, out, err = run_main(["compare", QG16, "kiss", "--size", 30_000], capsys)
         assert (code, out, err) == (1, "", f"qgrand compare: {QG16}: no result from its process, exit code 9\n")
 
+    def test_interrupt_in_both_processes_is_raised(self, monkeypatch):
+        # as on Ctrl-C to the process group; the child's interrupt is not a silent child
+        from qgrand import battery
+
+        monkeypatch.setattr(battery, "frequency_test", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", QG16, "kiss", "--size", "30000"])
+
+    def test_interrupt_while_reading_the_child_still_reaps_it(self, monkeypatch):
+        from qgrand import cli
+
+        class InterruptedPipe(io.FileIO):
+            def read(self, *args):
+                raise KeyboardInterrupt
+
+        def open_pipe(file, mode="r", **kwargs):  # the pipe is the one file opened from a descriptor
+            return InterruptedPipe(file) if isinstance(file, int) and mode == "rb" else open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_pipe, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", QG16, "kiss", "--size", "30000"])
+
     @pytest.mark.parametrize("argv", [
         ["compare", "kiss", "kiss", "--size", 400_000],
         ["compare", QG16, "kiss", "--size", 1000],
+        ["test", "--self-gen", QG256, "--length", 1_000_000],
+        ["test", "--self-gen", QG16, "--length", 25_000],
     ])
     def test_without_fork_the_same_job_runs_inline(self, argv, monkeypatch, capsysbinary):
         forked = run_main(argv, capsysbinary)
         monkeypatch.delattr(os, "fork", raising=False)
         assert run_main(argv, capsysbinary) == forked
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestTestProcesses:
+    """test runs frequency and perm5 in a forked child and the rank tests in this
+    process, through the same helper as compare; the child inherits the monkeypatches."""
+
+    @pytest.mark.parametrize("failing,message", [
+        (["frequency_test"], "frequency_test failed"),  # in the child
+        (["binary_rank_test"], "binary_rank_test failed"),  # here
+        (["frequency_test", "binary_rank_test"], "frequency_test failed"),  # the child's half, whichever ends first
+    ])
+    def test_a_failed_test_is_one_line(self, failing, message, monkeypatch, capsys):
+        from qgrand import battery
+
+        def fail(text):
+            def run(*args):
+                raise MemoryError(text)
+            return run
+
+        for name in failing:
+            monkeypatch.setattr(battery, name, fail(f"{name} failed"))
+        code, out, err = run_main(["test", "--self-gen", QG16, "--length", 300_000], capsys)
+        assert (code, out, err) == (1, "", f"qgrand test: {message}\n")
+
+    def test_interrupt_in_both_processes_is_raised(self, monkeypatch):
+        from qgrand import battery
+
+        for name in ("frequency_test", "permutation_test", "binary_rank_test"):
+            monkeypatch.setattr(battery, name, _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["test", "--self-gen", QG16, "--length", "300000"])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="frequency and perm5 run in a child only where fork exists")
+    @pytest.mark.parametrize("from_file", [False, True], ids=["self-gen", "file"])
+    def test_child_ending_without_a_result_is_one_line(self, from_file, tmp_path, monkeypatch, capsys):
+        from qgrand import battery
+
+        parent, frequency_test = os.getpid(), battery.frequency_test
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return frequency_test(*args)
+
+        monkeypatch.setattr(battery, "frequency_test", die_in_child)
+        path = tmp_path / "qg16.bin"
+        path.write_bytes(generate(GeneratorConfig(random_latin_square(16, seed=1), ConstantShift(7)), 300_000))
+        source = [path] if from_file else ["--self-gen", QG16, "--length", 300_000]
+        code, out, err = run_main(["test", *source], capsys)
+        label = path if from_file else QG16
+        assert (code, out, err) == (1, "", f"qgrand test: {label}: no result from its process, exit code 9\n")
+
+    def test_insufficient_input_crosses_back(self, capsys):
+        # 25000 bytes: frequency (25600) falls short in the child and perm5 (24000) does not
+        code, out, err = run_main(["test", "--self-gen", QG16, "--length", 25_000], capsys)
+        assert (code, err) == (4, "")
+        frequency, perm5, *ranks = [line.split("\t")[4] for line in out.splitlines() if "\t" in line]
+        assert frequency == "insufficient:need=25600,got=25000"
+        assert 0 < float(perm5) < 1
+        assert ranks == ["insufficient:need=248000,got=25000", "insufficient:need=256000,got=25000"]
 
 
 class TestReleaseDigests:
