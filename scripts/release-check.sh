@@ -33,6 +33,17 @@ code=0
 out=$("$@" test --self-gen 'qg:order=16,seed=1,const=7' --length 1000) || code=$?
 test "$code" -eq 4
 test "$(printf '%s\n' "$out" | grep -c 'insufficient:')" -eq 4
+# test forks once the rank tests' 5,120,000 bytes exist, and its child makes the rest:
+# pin a stdout whose stream runs past that point (digest from one process, one stream)
+digest=$("$@" test --self-gen 'qg:order=256,seed=1,const=7' --length 6000000 | sha256sum)
+test "$digest" = "8a64b1567d30b28758f28790f7daf3a71d4d4d6062d2c5d23fbf13740a9f2ab9  -"
+# a pipe is read whole before the fork, a spec's stream is made in chunks across it: the
+# same stream gives the same statistics and p-values (the source labels differ); an
+# order-16 stream fails the battery, exit 3 both ways
+piped=$("$@" gen sq.txt --shift-const 7 --length 1000000 --stdout | "$@" test /dev/stdin) || test $? -eq 3
+spec=$("$@" test --self-gen 'qg:file=sq.txt,const=7' --length 1000000) || test $? -eq 3
+test "$(printf '%s\n' "$piped" | cut -s -f1,3-5)" = "$(printf '%s\n' "$spec" | cut -s -f1,3-5)"
+test "$(printf '%s\n' "$spec" | cut -s -f1,3-5 | wc -l)" -eq 4
 # a qg spec is always byte-mapped, so an order above 256 is refused before its square
 # is built: exit 1 and one stderr line, on both numpy lines
 code=0

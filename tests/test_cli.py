@@ -766,8 +766,20 @@ class TestBatteryStdoutPinned:
          "ece1ff4a325fffc29e8db016c9992981bbb1b8803279560c7991fbde044fef95"),
         (["test", "--self-gen", QG256, "--length", 1_000_000, "--n-matrices", 2000, "--n-tuples", 1200], 0,
          _QG256_1E6_COUNTS, "fd77d8188a728030a2b9c5671d2700048f72bb66c2782aa5c4333e52b8812dc4"),
+        # the rank tests' 5,120,000 bytes end inside the stream
+        (["test", "--self-gen", QG256, "--length", 6_000_000], 0,
+         _machine(QG256, ["275.203413\t255\t0.816303", "127.508800\t119\t0.719683"] + _QG256_1E7_ROWS[2:]),
+         "8a64b1567d30b28758f28790f7daf3a71d4d4d6062d2c5d23fbf13740a9f2ab9"),
+        # rank_31x31 reads 9,920,000 of the 10,000,000 bytes, and rank_32x32 needs 10,240,000
+        (["test", "--self-gen", QG256, "--n-matrices", 80_000], 4,
+         _machine(QG256, _QG256_1E7_ROWS[:2] + [
+             "0.723420\t3\t0.132318", "NA\tNA\tinsufficient:need=10240000,got=10000000"]),
+         "3929ea50923237c49ace0b1e13a766fe7e15a3f44f4ede83473af19180331ded"),
+        # a source that makes its stream in one chunk
+        (["test", "--self-gen", "kiss", "--length", 10_000_000], 0, _KISS_1E7,
+         "aaad9e19544e456355fe6fcdc6bd3519d8a33b26d7fd0fbfded21aa1dc158f41"),
     ], ids=["compare-1e7", "test-1e7", "compare-same-spec", "compare-explicit-counts", "compare-insufficient",
-            "test-insufficient", "test-explicit-counts"])
+            "test-insufficient", "test-explicit-counts", "test-6e6", "test-rank32-insufficient", "test-kiss-1e7"])
     def test_stdout(self, argv, code, machine, digest, capsysbinary):
         exit_code, out, err = run_main(argv, capsysbinary)
         assert (exit_code, err) == (code, b"")
