@@ -15,7 +15,7 @@ from __future__ import annotations
 import copyreg
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def run_battery(
     statistic).  Explicit counts are honored strictly.  If `sink` is given,
     the rendered report and the machine-readable lines are written to it.
     """
-    entries = [_entry(*step) for name, data in sources.items()
+    entries = [_entry(step) for name, data in sources.items()
                for step in _plan(name, data, n_matrices, n_tuples)]
     if sink is not None:
         write_report(entries, sink)
@@ -247,20 +247,22 @@ def run_battery(
 
 
 def _plan(name: str, data: bytes, n_matrices: int | None, n_tuples: int | None) -> list:
-    """One source's tests in report order, as (source, test name, runner)."""
+    """One source's tests in report order, as (source, test name, runner, bytes
+    it reads from the start of `data`, which may be more than `data` holds)."""
     data = memoryview(data).cast("B")  # sized in bytes, as the tests read them
     tuples = _fit(n_tuples, len(data) // 20, 1_000_000, MIN_TUPLES)
     matrices = {size: _fit(n_matrices, len(data) // (4 * size), 40000, MIN_MATRICES) for size in (31, 32)}
     return [
-        (name, "frequency", lambda: frequency_test(data)),
-        (name, "perm5", lambda: permutation_test(data, tuples)),
-        (name, "rank_31x31", lambda: binary_rank_test(data, 31, matrices[31])),
-        (name, "rank_32x32", lambda: binary_rank_test(data, 32, matrices[32])),
+        (name, "frequency", lambda: frequency_test(data), len(data)),
+        (name, "perm5", lambda: permutation_test(data, tuples), 20 * tuples),
+        (name, "rank_31x31", lambda: binary_rank_test(data, 31, matrices[31]), 124 * matrices[31]),
+        (name, "rank_32x32", lambda: binary_rank_test(data, 32, matrices[32]), 128 * matrices[32]),
     ]
 
 
-def _entry(name: str, test_name: str, runner: Callable[[], TestResult]) -> BatteryEntry:
+def _entry(step: tuple) -> BatteryEntry:
     """One step of a plan run: its result, or the InsufficientInput it raised."""
+    name, test_name, runner, _ = step
     try:
         return BatteryEntry(name, test_name, result=runner())
     except InsufficientInput as exc:

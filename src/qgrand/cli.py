@@ -14,10 +14,11 @@ import binascii
 import contextlib
 import gc
 import io
+import itertools
 import os
 import pickle
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -154,8 +155,8 @@ def _load_square(path: str) -> latin.LatinSquare:
     return latin.parse_text(text)
 
 
-def _parse_genspec(spec: str) -> Callable[[int], bytes]:
-    """Turn a generator spec string into produce(length) -> bytes."""
+def _parse_genspec(spec: str) -> Callable[[int], Iterator]:
+    """Turn a generator spec into produce(length), an iterator of its stream's chunks."""
     kind, colon, rest = spec.partition(":")
     items = rest.split(",") if colon else []
     if "" in items:  # "kiss:", "qg:order=8,,seed=1" or a trailing comma
@@ -170,7 +171,7 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
             generator = kiss.Kiss(*map(int, seeds))
         except ValueError as exc:  # a non-integer, or a seed Kiss rejects
             raise _UsageError(f"kiss: {exc}") from None
-        return generator.next_bytes
+        return lambda length: iter((generator.next_bytes(length),))  # one call: next_bytes is slower in chunks
     if kind == "qg":
         parser = _SpecParser(add_help=False, allow_abbrev=False)
         source = parser.add_mutually_exclusive_group(required=True)
@@ -192,8 +193,28 @@ def _parse_genspec(spec: str) -> Callable[[int], bytes]:
         square = (_load_square(fields.file) if fields.file is not None
                   else latin.random_latin_square(fields.order, fields.seed))
         config = engine.GeneratorConfig(square, _shift(fields), engine.OutputMap.BYTES)
-        return lambda length: engine.generate(config, length)
+        return lambda length: engine.blocks(config, length)
     raise _UsageError(f"unknown generator {kind!r} (expected kiss or qg)")
+
+
+def _stream(chunks: Iterator, length: int):
+    """(stream, fill): a buffer for the `length` bytes of `chunks`, and fill(end),
+    which writes whole chunks into it until its first `end` bytes are written.
+    A first chunk that is the whole stream is the buffer, as it is."""
+    first = next(chunks, b"")
+    if len(first) == length:
+        return first, lambda end: None
+    data = np.empty(length, np.uint8)  # no page is touched before it is written
+
+    def ends():
+        end = 0
+        for chunk in itertools.chain((first,), chunks):
+            data[end : end + len(chunk)] = chunk
+            end += len(chunk)
+            yield end
+
+    written = ends()
+    return data, lambda end: next((e for e in written if e >= end), None)
 
 
 def _cmd_make_square(args) -> int:
@@ -246,10 +267,12 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _battery(sources: dict[str, bytes], args) -> list:
+def _battery(label: str, produce: Callable[[int], Iterator], args) -> list:  # one half of compare
     from . import battery
 
-    return battery.run_battery(sources, None, args.n_matrices, args.n_tuples)
+    data, fill = _stream(produce(args.size), args.size)
+    fill(args.size)
+    return battery.run_battery({label: data}, None, args.n_matrices, args.n_tuples)
 
 
 def _report(entries) -> int:  # test's and compare's exit: 4 if an entry is insufficient, 3 if suspect
@@ -300,15 +323,20 @@ def _cmd_test(args) -> int:
     if args.input is not None:
         if args.length is not None:
             raise _UsageError("--length applies only to --self-gen, not to an input file")
-        with open(args.input, "rb") as fh:
-            label, data = args.input, fh.read()
+        with open(args.input, "rb") as fh:  # one read: a pipe has no size to allocate
+            label, data, fill = args.input, fh.read(), lambda end: None
     else:
         length = 10_000_000 if args.length is None else args.length
-        label, data = args.self_gen, _parse_genspec(args.self_gen)(length)
+        label, (data, fill) = args.self_gen, _stream(_parse_genspec(args.self_gen)(length), length)
     plan = battery._plan(label, data, args.n_matrices, args.n_tuples)
-    # the child shares the stream copy-on-write: frequency and perm5 there, the rank tests here
-    return _report(_in_two_processes(lambda: [battery._entry(*step) for step in plan[:2]],
-                                     lambda: [battery._entry(*step) for step in plan[2:]], label))
+    fill(max(step[3] for step in plan[2:]))  # the rank tests' bytes, before the fork
+
+    def frequency_and_perm5():  # the child writes the rest into its copy-on-write pages
+        fill(len(data))
+        return [battery._entry(step) for step in plan[:2]]
+
+    return _report(_in_two_processes(frequency_and_perm5,
+                                     lambda: [battery._entry(step) for step in plan[2:]], label))
 
 
 def _cmd_compare(args) -> int:
@@ -316,8 +344,8 @@ def _cmd_compare(args) -> int:
     label_a, label_b = args.gen_a, args.gen_b
     if label_a == label_b:
         label_a, label_b = f"A:{label_a}", f"B:{label_b}"
-    return _report(_in_two_processes(lambda: _battery({label_a: produce_a(args.size)}, args),
-                                     lambda: _battery({label_b: produce_b(args.size)}, args), args.gen_a))
+    return _report(_in_two_processes(lambda: _battery(label_a, produce_a, args),
+                                     lambda: _battery(label_b, produce_b, args), args.gen_a))
 
 
 def main(argv=None) -> int:

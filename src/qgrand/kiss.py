@@ -101,10 +101,11 @@ class Kiss:
         calls.  next_word() makes two words; the rest go to `lanes` copies of
         the generator, the largest power of two at most rest / _LANE_WORDS
         and _MAX_LANES (none under _MIN_LANES: next_word() makes them all).
-        The copies are jumped ahead to offsets 0, K, 2K, ... by doubling and
-        stepped K times in lockstep, lane j writing words j*K .. j*K+K-1
-        straight into the buffer returned.  The last lanes may run past
-        `length`; the state kept is the one after the last word returned."""
+        Each makes K = ceil(rest / lanes) words, one more when that is a
+        multiple of 32.  The copies are jumped ahead to offsets 0, K, 2K, ...
+        by doubling and stepped K times in lockstep, lane j writing words
+        j*K .. j*K+K-1 straight into the buffer returned.  The last lanes may
+        run past `length`; the state kept is the one after the last word returned."""
         if not isinstance(length, (int, np.integer)) or isinstance(length, bool):
             raise TypeError(f"length must be an integer, got {length!r}")
         if length < 0:
@@ -114,6 +115,7 @@ class Kiss:
         lanes = min(1 << (rest // _LANE_WORDS).bit_length() >> 1, _MAX_LANES)
         lanes = lanes if lanes >= _MIN_LANES else 0
         k = -(-rest // lanes) if lanes else 0  # words per lane
+        k += k > 0 and k % 32 == 0  # rows of 128 * m bytes put out[:, i]'s writes in few cache sets
         head = [self.next_word() for _ in range(2 if lanes else count)]
         # the MWC jump needs z and w at most their moduli, which two steps ensure
         s = np.array([[self.x], [self.y], [self.z], [self.w]], dtype=np.uint64)

@@ -823,7 +823,7 @@ class TestCompareProcesses:
             return produce
 
         if "qg" in failing:
-            monkeypatch.setattr(engine, "generate", fail("qg failed"))
+            monkeypatch.setattr(engine, "blocks", fail("qg failed"))
         if "kiss" in failing:
             monkeypatch.setattr(kiss.Kiss, "next_bytes", fail("kiss failed"))
         code, out, err = run_main(["compare", *specs, "--size", 30_000], capsys)
@@ -854,14 +854,14 @@ class TestCompareProcesses:
     def test_child_ending_without_a_result_is_one_line(self, monkeypatch, capsys):
         from qgrand import engine
 
-        parent, generate = os.getpid(), engine.generate
+        parent, blocks = os.getpid(), engine.blocks
 
         def die_in_child(*args):
             if os.getpid() != parent:
                 os._exit(9)
-            return generate(*args)
+            return blocks(*args)
 
-        monkeypatch.setattr(engine, "generate", die_in_child)
+        monkeypatch.setattr(engine, "blocks", die_in_child)
         code, out, err = run_main(["compare", QG16, "kiss", "--size", 30_000], capsys)
         assert (code, out, err) == (1, "", f"qgrand compare: {QG16}: no result from its process, exit code 9\n")
 
@@ -962,6 +962,90 @@ class TestTestProcesses:
         assert frequency == "insufficient:need=25600,got=25000"
         assert 0 < float(perm5) < 1
         assert ranks == ["insufficient:need=248000,got=25000", "insufficient:need=256000,got=25000"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the stream is made in two processes only where fork exists")
+    def test_the_parent_makes_the_rank_tests_bytes_and_the_child_the_rest(self, tmp_path, monkeypatch, capsys):
+        # 10 MB is 153 blocks of 65536 bytes; the rank tests read 5,120,000 bytes, so 79 blocks
+        from qgrand import engine
+
+        calls, next_block = tmp_path / "calls", engine.Engine.next_block
+
+        def logged(self):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return next_block(self)
+
+        monkeypatch.setattr(engine.Engine, "next_block", logged)
+        code, out, err = run_main(["test", "--self-gen", QG256], capsys)
+        assert (code, err) == (0, "")
+        pids = calls.read_text().split()
+        assert pids[-1] != str(os.getpid())
+        assert pids == [str(os.getpid())] * 79 + [pids[-1]] * 74
+
+    # at 300000 bytes and 2000 matrices the rank tests read 256,000 bytes: 1000 of the
+    # 1172 order-16 blocks are made before the fork, the rest after it in the child
+    @pytest.mark.parametrize("block,error", [
+        (500, MemoryError("no memory for block 500")),
+        (1100, MemoryError("no memory for block 1100")),
+        (1100, KeyboardInterrupt()),
+    ], ids=["memory-parent", "memory-child", "interrupt-child"])
+    def test_a_failure_while_making_the_stream(self, block, error, monkeypatch, capsys):
+        from qgrand import engine
+
+        next_block = engine.Engine.next_block
+
+        def fail_at_block(self):
+            if self.iteration == block:
+                raise error
+            return next_block(self)
+
+        monkeypatch.setattr(engine.Engine, "next_block", fail_at_block)
+        argv = ["test", "--self-gen", QG16, "--length", 300_000, "--n-matrices", 2000]
+        if isinstance(error, KeyboardInterrupt):  # raised here once the child is reaped
+            with pytest.raises(KeyboardInterrupt):
+                main([str(a) for a in argv])
+        else:
+            assert run_main(argv, capsys) == (1, "", f"qgrand test: {error}\n")
+
+    def test_a_one_chunk_source_is_its_own_buffer(self, monkeypatch, capsys):
+        from qgrand import cli, kiss
+
+        lengths, next_bytes = [], kiss.Kiss.next_bytes
+
+        def logged(self, length):
+            lengths.append(length)
+            return next_bytes(self, length)
+
+        monkeypatch.setattr(kiss.Kiss, "next_bytes", logged)
+        assert run_main(["test", "--self-gen", "kiss", "--length", 300_000], capsys)[0] == 0
+        assert lengths == [300_000]
+        chunk = bytes(1000)
+        assert cli._stream(iter((chunk,)), 1000)[0] is chunk
+
+    @pytest.mark.parametrize("order,length,n_matrices,n_tuples", [
+        (256, 10_000_000, None, None),
+        (256, 6_000_000, None, None),
+        (16, 25_000, None, None),  # frequency is short of input, perm5 is not
+        (16, 1000, None, None),  # every test is short of input
+        (256, 1_000_000, 2000, 1200),
+        (256, 10_000_000, 80_000, None),  # rank_32x32 is short of input
+    ])
+    def test_entries_equal_one_process_run(self, order, length, n_matrices, n_tuples, monkeypatch, capsys):
+        from qgrand import battery
+
+        spec, reported, write_report = f"qg:order={order},seed=1,const=7", [], battery.write_report
+
+        def logged(entries, sink):
+            reported.append(entries)
+            write_report(entries, sink)
+
+        monkeypatch.setattr(battery, "write_report", logged)
+        argv = ["test", "--self-gen", spec, "--length", length]
+        argv += ["--n-matrices", n_matrices] if n_matrices else []
+        argv += ["--n-tuples", n_tuples] if n_tuples else []
+        run_main(argv, capsys)
+        stream = generate(GeneratorConfig(random_latin_square(order, seed=1), ConstantShift(7)), length)
+        assert repr(reported) == repr([battery.run_battery({spec: stream}, None, n_matrices, n_tuples)])
 
 
 class TestReleaseDigests:

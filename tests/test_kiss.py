@@ -181,6 +181,17 @@ def scalar_run(seeds):
     return bytes(stream), states
 
 
+@functools.lru_cache(maxsize=None)
+def long_scalar_run():
+    """12 MiB of next_word() words from the CLI's seeds, and the state after
+    each of the first 4, 8 and 12 MiB."""
+    gen, chunks, states = Kiss(*GATE_SEEDS[0]), [], {}
+    for mib in (4, 8, 12):
+        chunks.append(np.array([gen.next_word() for _ in range(1 << 20)], dtype=">u4").tobytes())
+        states[mib] = state(gen)
+    return b"".join(chunks), states
+
+
 def scalar_bytes(gen, length):
     """`length` bytes from repeated next_word(), the reference for next_bytes."""
     return b"".join(gen.next_word().to_bytes(4, "big") for _ in range(-(-length // 4)))[:length]
@@ -198,6 +209,15 @@ class TestBytesMatchNextWord:
         fast = Kiss(*seeds)
         assert fast.next_bytes(length) == stream[:length]
         assert state(fast) == states[-(-length // 4)]
+
+    @pytest.mark.parametrize("mib", [4, 8, 12])
+    def test_lanes_of_a_multiple_of_32_words(self, mib):
+        """At 2^14 lanes these lengths give K = 64, 128 and 192, which next_bytes
+        makes one word longer: the last lanes run further past the request."""
+        words, states = long_scalar_run()
+        fast = Kiss(*GATE_SEEDS[0])
+        assert fast.next_bytes(mib << 20) == words[: mib << 20]
+        assert state(fast) == states[mib]
 
     @pytest.mark.parametrize("seeds", GATE_SEEDS)
     def test_calls_concatenate_on_word_boundaries(self, seeds):
