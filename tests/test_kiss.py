@@ -183,7 +183,7 @@ def scalar_run(seeds):
 
 @functools.lru_cache(maxsize=None)
 def long_scalar_run():
-    """12 MiB of next_word() words from the CLI's seeds, and the state after
+    """12 MiB of next_word() output from the CLI's seeds, and the state after
     each of the first 4, 8 and 12 MiB."""
     gen, chunks, states = Kiss(*GATE_SEEDS[0]), [], {}
     for mib in (4, 8, 12):
@@ -214,9 +214,9 @@ class TestBytesMatchNextWord:
     def test_lanes_of_a_multiple_of_32_words(self, mib):
         """At 2^14 lanes these lengths give K = 64, 128 and 192, which next_bytes
         makes one word longer: the last lanes run further past the request."""
-        words, states = long_scalar_run()
+        stream, states = long_scalar_run()
         fast = Kiss(*GATE_SEEDS[0])
-        assert fast.next_bytes(mib << 20) == words[: mib << 20]
+        assert fast.next_bytes(mib << 20) == stream[: mib << 20]
         assert state(fast) == states[mib]
 
     @pytest.mark.parametrize("seeds", GATE_SEEDS)
