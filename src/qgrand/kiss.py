@@ -19,7 +19,6 @@ import numpy as np
 
 _M32 = (1 << 32) - 1
 _MAX_LANES = 1 << 14  # most generator copies next_bytes steps side by side
-_MIN_LANES = 64  # fewer lanes make the words slower than next_word() does
 _LANE_WORDS = 16  # next_bytes starts about one lane per this many words
 # Each MWC is an LCG modulo p = a * 2^16 - 1 with multiplier 2^-16 = a mod p
 # (Couture & L'Ecuyer 1997): for a state at most p, k steps multiply it by
@@ -52,9 +51,12 @@ _STEP = (69069, 12345, _xorshift(np.uint32(1) << _BITS), _MWC_A.astype(np.uint64
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
-    """The maps of g's jump followed by f's."""
+    """The maps of g's jump followed by f's.  A state written as the jump
+    (0, x, y, [[z], [w]]) composes the same way, into f applied to it."""
     mul, add, cols, mwc = f
-    return mul * g[0] & _M32, (mul * g[1] + add) & _M32, _gf2_apply(cols, g[2]), mwc * g[3] % _MWC_P
+    zw = mwc * g[3] % _MWC_P
+    # an MWC state equal to its modulus is a fixed point, not 0; a map a^k mod p is never 0
+    return mul * g[0] & _M32, (mul * g[1] + add) & _M32, _gf2_apply(cols, g[2]), np.where(zw, zw, g[3])
 
 
 def _jump(k: int) -> tuple:
@@ -98,35 +100,30 @@ class Kiss:
         """Emit `length` bytes; whole words are consumed, the last may be cut.
 
         The bytes and the final state equal those of repeated next_word()
-        calls.  next_word() makes two words; the rest go to `lanes` copies of
-        the generator, the largest power of two at most rest / _LANE_WORDS
-        and _MAX_LANES (none under _MIN_LANES: next_word() makes them all).
-        Each makes K = ceil(rest / lanes) words, one more when that is a
-        multiple of 32.  The copies are jumped ahead to offsets 0, K, 2K, ...
-        by doubling and stepped K times in lockstep, lane j writing words
-        j*K .. j*K+K-1 straight into the buffer returned.  The last lanes may
-        run past `length`; the state kept is the one after the last word returned."""
+        calls.  next_word() makes the first words, at most two; the rest go to
+        `lanes` copies of the generator, the largest power of two at most
+        rest / _LANE_WORDS and _MAX_LANES, but at least one.  Each makes
+        K = ceil(rest / lanes) words, one more when that is a multiple of 32.
+        The copies are jumped ahead to offsets 0, K, 2K, ... by doubling and
+        stepped K times in lockstep, lane j writing words j*K .. j*K+K-1
+        straight into the buffer returned.  The last lanes may run past
+        `length`; the state kept is the one after the last word returned."""
         if not isinstance(length, (int, np.integer)) or isinstance(length, bool):
             raise TypeError(f"length must be an integer, got {length!r}")
         if length < 0:
             raise ValueError("length must be >= 0")
         count = -(-int(length) // 4)  # a numpy integer has no bit_length
         rest = max(count - 2, 0)
-        lanes = min(1 << (rest // _LANE_WORDS).bit_length() >> 1, _MAX_LANES)
-        lanes = lanes if lanes >= _MIN_LANES else 0
-        k = -(-rest // lanes) if lanes else 0  # words per lane
+        lanes = min(1 << (rest // _LANE_WORDS).bit_length() >> 1 or 1, _MAX_LANES)
+        k = -(-rest // lanes)  # words per lane
         k += k > 0 and k % 32 == 0  # rows of 128 * m bytes put out[:, i]'s writes in few cache sets
-        head = [self.next_word() for _ in range(2 if lanes else count)]
+        head = [self.next_word() for _ in range(min(count, 2))]
         # the MWC jump needs z and w at most their moduli, which two steps ensure
         s = np.array([[self.x], [self.y], [self.z], [self.w]], dtype=np.uint64)
         if lanes > 1:
             maps = _jump(k)
             while s.shape[1] < lanes:  # lane j starts j*K words on
-                mul, add, cols, mwc = maps
-                zw = s[2:] * mwc % _MWC_P
-                # a state equal to its modulus is a fixed point, not 0
-                jumped = (mul * s[0] + add) & _M32, _gf2_apply(cols, s[1]), np.where(zw, zw, s[2:])
-                s = np.hstack((s, np.vstack(jumped)))
+                s = np.hstack((s, np.vstack(_compose(maps, (0, s[0], s[1], s[2:]))[1:])))
                 maps = _compose(maps, maps)
         s = s.astype(np.uint32)
         x, y, zw = s[0], s[1], s[2:]

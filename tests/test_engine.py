@@ -377,7 +377,45 @@ class TestEntryPreservation:
                 assert int(eng.gen_matrix.min()) >= 0
 
 
+def brent_cycle(config):
+    """(tail, period) in blocks of a fresh engine's state sequence: the first
+    state that recurs comes after `tail` blocks, and recurs every `period`.
+    Brent's cycle detection (Brent 1980, BIT 20) holds O(1) states."""
+    hare = Engine(config)
+    power = period = 1
+    saved = hare.gen_matrix.tobytes()
+    hare.next_block()
+    while hare.gen_matrix.tobytes() != saved:
+        if power == period:  # save the hare's state at each power of two, and count afresh
+            saved, power, period = hare.gen_matrix.tobytes(), 2 * power, 0
+        hare.next_block()
+        period += 1
+    tortoise, hare = Engine(config), Engine(config)
+    for _ in range(period):
+        hare.next_block()
+    tail = 0
+    while not np.array_equal(tortoise.gen_matrix, hare.gen_matrix):
+        tortoise.next_block()
+        hare.next_block()
+        tail += 1
+    return tail, period
+
+
 class TestPeriodicity:
+    @pytest.mark.parametrize("order,seed,shift,tail,period", [
+        (3, 1, ConstantShift(0), 2, 4),
+        (3, 1, VariableShift(1, 1), 43, 23),
+        (3, 3, VariableShift(2, 2), 6, 125),
+        (4, 4, ConstantShift(0), 4, 12),
+        (4, 4, ConstantShift(1), 5, 12),
+        (4, 4, VariableShift(1, 1), 1975, 6),
+        (4, 4, VariableShift(2, 2), 11607, 6),
+    ])
+    def test_state_cycle_pinned(self, order, seed, shift, tail, period):
+        """The census in README; a dict of every state gives the same values."""
+        config = GeneratorConfig(random_latin_square(order, seed), shift, OutputMap.SYMBOLS)
+        assert brent_cycle(config) == (tail, period)
+
     def test_order_2_cycles_and_cycle_length_reported(self):
         square = validate([[1, 2], [2, 1]])
         eng = Engine(GeneratorConfig(square, ConstantShift(1), OutputMap.SYMBOLS))

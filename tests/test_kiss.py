@@ -153,13 +153,13 @@ GATE_SEEDS = [
     (5, 6, MWC_Z, MWC_W),
     (5, 6, MWC_Z + 1, MWC_W + 1),
 ]
-# next_bytes makes two words with next_word() and splits the other `rest`
-# among the largest power of two of lanes at most rest / 16 and 2^14, so
-# K = ceil(rest / lanes) words each (K >= 16); under 64 lanes, next_word()
-# makes every word. The lane count changes at 16 * 2^m + 2 words: each such
-# count, with a cut last word, and the count below it, from the longest
-# all-scalar call (1025 words, 4097 and 4100 bytes) to 2^14 lanes.
-LANE_BOUNDARIES = [n for m in range(6, 15) for n in (4 * (16 * 2**m + 1), 4 * (16 * 2**m + 2) - 3)]
+# next_bytes makes at most two words with next_word() and splits the other
+# `rest` among the largest power of two of lanes at most rest / 16 and 2^14,
+# but at least one, so K = ceil(rest / lanes) words each. The lane count
+# changes at 16 * 2^m + 2 words: each such count, with a cut last word, and
+# the count below it, from the change from one lane to two (33 and 34 words,
+# 132 and 133 bytes) to 2^14 lanes.
+LANE_BOUNDARIES = [n for m in range(1, 15) for n in (4 * (16 * 2**m + 1), 4 * (16 * 2**m + 2) - 3)]
 GATE_LENGTHS = list(range(10)) + [4097, 4104, 12297, 100003] + LANE_BOUNDARIES + [
     4160,  # 64 lanes, K = 17: the last lane used is cut after its first word, 2 lanes run past
     4221,  # and the same lane cut after its last word, which is itself cut to 1 byte
@@ -231,15 +231,30 @@ class TestBytesMatchNextWord:
     ])
     @pytest.mark.parametrize("seeds", GATE_SEEDS[:1] + GATE_SEEDS[3:4])
     def test_lane_geometries_next_bytes_does_not_choose(self, monkeypatch, seeds, lane_words, length):
-        """With no lane minimum: a single lane (18 to 33 words at 16 words per
-        lane), and a lane per word, where K is 1 when rest is a power of two
-        and 2 otherwise, so each lane start is checked by a word of its own;
-        the last length would take 2^15 lanes without the cap."""
-        monkeypatch.setattr(kiss, "_MIN_LANES", 1)
+        """A lane per word, which next_bytes does not choose at its 16 words per
+        lane: K is 1 when rest is a power of two and 2 otherwise, so each lane
+        start is checked by a word of its own; the last length would take 2^15
+        lanes without the cap.  The 16-word cases, a single lane of 16 and 31
+        words after the two head words, are next_bytes's own choice."""
         monkeypatch.setattr(kiss, "_LANE_WORDS", lane_words)
         fast, slow = Kiss(*seeds), Kiss(*seeds)
         assert fast.next_bytes(length) == scalar_bytes(slow, length)
         assert state(fast) == state(slow)
+
+    @pytest.mark.parametrize("k", [1, 2, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("seeds", GATE_SEEDS)
+    def test_compose_jumps_a_state(self, seeds, k):
+        """_compose(_jump(k), state), the state written as a jump, is the state
+        k next_word() calls on, from after next_bytes's two head words; an MWC
+        state at its modulus stays there."""
+        gen = Kiss(*seeds)
+        for _ in range(2):
+            gen.next_word()
+        s = np.array([[v] for v in state(gen)], dtype=np.uint64)
+        _, x, y, zw = kiss._compose(kiss._jump(k), (0, s[0], s[1], s[2:]))
+        for _ in range(k):
+            gen.next_word()
+        assert np.vstack((x, y, zw)).ravel().tolist() == list(state(gen))
 
     def test_peak_memory_is_the_output(self):
         """The words are written into the buffer that is returned: no copy."""
