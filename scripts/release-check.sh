@@ -17,6 +17,16 @@ cd "$dir"
 script=$("$@" gen sq.txt --shift-const 7 --length 65536 --format hex | sha256sum)
 module=$(python -m qgrand gen sq.txt --shift-const 7 --length 65536 --format hex | sha256sum)
 test "$script" = "$module"
+# `gen --format symbols` at order 16 under both shift modes, and from an order-300 file,
+# where no byte map exists and each block is read as int32 symbols (digests taken before
+# small orders gathered phase 3 through a cached index and encoded symbols from bytes)
+digest=$("$@" gen sq.txt --shift-const 7 --format symbols --length 100000 | sha256sum)
+test "$digest" = "92bdab5d3dcb149cc46eefb46e02a5fa283616b5b1207879ec296edeec5cb45a  -"
+digest=$("$@" gen sq.txt --shift-var 3 9 --format symbols --length 100000 | sha256sum)
+test "$digest" = "d10621e173e15aaab45c1792242f725b28d068c8ef2102580a30ce0c5c7f3fba  -"
+"$@" make-square 300 --seed 1 --out sq300.txt
+digest=$("$@" gen sq300.txt --shift-var 3 9 --format symbols --length 100000 | sha256sum)
+test "$digest" = "788f9deb0f6562b98908ec388b796da49fac66502550d44bea4d9467b04cfc51  -"
 # 0 or 3, a pass or a flag; 300 kB is enough for the rank tests, which need 256000 bytes
 "$@" test --self-gen 'qg:order=16,seed=1,const=7' --length 300000 || test $? -eq 3
 # KISS's wide lanes through the console script, on both numpy lines
