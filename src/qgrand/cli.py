@@ -248,9 +248,12 @@ def _open_sink(path: str | None):
 def _cmd_gen(args) -> int:
     if args.format == "bytes" and args.out is None and not args.stdout:
         raise _UsageError("raw bytes need --out or an explicit --stdout")
-    output_map = engine.OutputMap.SYMBOLS if args.format == "symbols" else engine.OutputMap.BYTES
-    config = engine.GeneratorConfig(_load_square(args.square), _shift(args), output_map)
-    glyphs = np.array([b" %d" % s for s in range(config.square.order + 1)])  # " s", NUL-padded (S dtype)
+    square = _load_square(args.square)
+    symbols_map = args.format == "symbols" and square.order > 256  # else symbols are byte-map cells + 1
+    output_map = engine.OutputMap.SYMBOLS if symbols_map else engine.OutputMap.BYTES
+    config = engine.GeneratorConfig(square, _shift(args), output_map)
+    # " s", NUL-padded (S dtype), indexed by the block's values: 0-based cells, or 1-based symbols
+    glyphs = np.array([b" %d" % s for s in range(0 if symbols_map else 1, square.order + 1)])
     encode = {
         "bytes": lambda block: block,  # the block's own buffer, not a copy
         "hex": binascii.hexlify,  # reads the block's buffer

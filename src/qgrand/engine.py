@@ -17,6 +17,7 @@ values; truncating a stream drops only the tail of the final block.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,11 @@ from .latin import LatinSquare
 
 
 _GATHER = 1 << 15  # indices per take in phase 1; slices of 2**14 cost gen ~11%, 2**15 nothing
+# phase 3 of a matrix with at most this many cells is one take through a cached index; uint8,
+# us per call at orders 16/32/48/52/56/64/128/255, the take against the transposed copy plus
+# concatenate: 1.26/1.86/2.85/3.27/3.59/4.01/13.2/49.4 against 2.21/2.59/3.14/3.39/3.51/3.61/8.09/26.8
+_PHASE3_TAKE = 48 * 48
+_min_dtype = functools.lru_cache(maxsize=None)(np.min_scalar_type)  # ~0.1 us a call, uncached 0.4
 
 
 class OrderTooLargeForBytes(ValueError):
@@ -100,24 +106,36 @@ def transpose_rotate(matrix: np.ndarray, shift: int) -> np.ndarray:
     """The phase-3 matrix transform: transpose, flatten row-major, rotate the
     stream right by `shift` (old position p lands at (p+shift) mod n*n),
     refill row-major.  Value-agnostic."""
-    stride = matrix.strides[0]
+    stride, size = matrix.strides[0], matrix.size
+    cut = size - shift % size  # the rotated stream starts at the transposed stream's cell `cut`
     if stride > 0 and stride % 256 == 0:  # a column of such rows sits in few L1 sets: copy ~32 KiB bands
-        flat = np.empty(matrix.size, matrix.dtype)
+        flat = np.empty(size, matrix.dtype)
         out, rows = flat.reshape(matrix.shape[::-1]), max(1, (1 << 15) // stride)
         for i in range(0, len(matrix), rows):
             out[:, i : i + rows] = matrix[i : i + rows].T
+    elif size <= _PHASE3_TAKE:  # take reads a non-contiguous matrix through a row-major copy
+        return matrix.take(_transposed_twice(matrix.shape)[cut : cut + size]).reshape(matrix.shape)
     else:
         flat = matrix.T.ravel()
-    cut = flat.size - shift % flat.size  # two slices: np.roll's generic axis handling costs more
-    return np.concatenate((flat[cut:], flat[:cut])).reshape(matrix.shape)
+    return np.concatenate((flat[cut:], flat[:cut])).reshape(matrix.shape)  # np.roll's axis handling costs more
+
+
+@functools.lru_cache(maxsize=64)  # at most 64 x 36 KiB
+def _transposed_twice(shape: tuple) -> np.ndarray:
+    """A `shape` matrix's flat cells in transposed order, twice, so each rotation is one slice."""
+    order = np.arange(shape[0] * shape[1]).reshape(shape).T.ravel()
+    twice = np.concatenate((order, order))
+    twice.flags.writeable = False  # shared by every caller; intp, as a narrower index was slower
+    return twice
 
 
 class Engine:
     """Mutable generator state: the seed square plus one working matrix.
 
     Persistent state is exactly two n x n grids (the square's lookup table
-    and `gen_matrix`) and scalar bookkeeping.  Single-owner: calls on one
-    engine must not overlap; distinct engines are independent.
+    and `gen_matrix`) and scalar bookkeeping; up to order 48 all engines also
+    share a cached phase-3 index per order (36 KiB at 48).  Single-owner:
+    calls on one engine must not overlap; distinct engines are independent.
     """
 
     def __init__(self, config: GeneratorConfig):
@@ -139,7 +157,7 @@ class Engine:
         temp = matrix.ravel()
         # flat index n * cell + successor is at most n * (n-1) + (n-1) = n*n - 1, so it
         # always fits the narrowest unsigned dtype that holds n*n - 1 (uint16 at order 256)
-        idx = np.multiply(temp, table.shape[0], dtype=np.min_scalar_type(table.size - 1))
+        idx = np.multiply(temp, len(table), dtype=_min_dtype(table.size - 1))
         idx[:-1] += temp[1:]
         idx[-1] += temp[0]
         # reads come only from the snapshot.  take, not [idx]: fancy indexing with a

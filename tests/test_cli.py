@@ -315,6 +315,30 @@ class TestGenSinglePath:
         argv = ["gen", square, "--shift-var", 1, order, "--length", length, "--format", "symbols", "--stdout"]
         assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
 
+    # shifts as in test_engine's test_orders_that_overflow_a_narrow_index, so the oracle runs are shared
+    @pytest.mark.parametrize("order, shift", [(255, ("var", 7, 200)), (256, ("var", 1, 256)), (257, ("const", 257))])
+    def test_symbols_on_either_side_of_the_byte_map(self, tmp_path, capfdbinary, monkeypatch, order, shift):
+        # up to order 256 symbols are the byte map's cells plus one (symbol 256 is byte 255),
+        # above it the engine's own symbols map
+        from qgrand import engine
+
+        maps, blocks = [], engine.blocks
+
+        def logged(config, length):
+            maps.append(config.output_map)
+            return blocks(config, length)
+
+        monkeypatch.setattr(engine, "blocks", logged)
+        square = tmp_path / "square.txt"
+        square.write_text(to_text(random_latin_square(order, seed=order)))
+        length = order * order + 777
+        values = [v for block in large_order_oracle(order, shift) for v in block][:length]
+        flag = ["--shift-const", shift[1]] if shift[0] == "const" else ["--shift-var", *shift[1:]]
+        argv = ["gen", square, *flag, "--length", length, "--format", "symbols", "--stdout"]
+        assert run_main(argv, capfdbinary) == (0, (" ".join(map(str, values)) + "\n").encode(), b"")
+        assert maps == [OutputMap.BYTES if order <= 256 else OutputMap.SYMBOLS]
+        assert order in values
+
     def test_hex_at_order_256_over_several_blocks(self, tmp_path, capfdbinary):
         seed_square = random_latin_square(256, seed=256)
         square = tmp_path / "square.txt"

@@ -168,8 +168,10 @@ def roll_reference(matrix, shift):
 class TestPhase3:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
     # rows of 256 bytes or a multiple are copied in bands (uint8 at 256 and 512, uint16
-    # at 128, 256, 384 and 512; uint16 at 384 ends on a partial band), the rest whole
-    @pytest.mark.parametrize("order", [*range(1, 21), 128, 255, 256, 257, 300, 384, 512])
+    # at 128, 256, 384 and 512; uint16 at 384 ends on a partial band), up to order 48
+    # the rest is one take through a cached index, above it a whole copy
+    @pytest.mark.parametrize("order", [*range(1, 21), 31, 32, 33, 47, 48, 49, 63, 64, 65,
+                                       128, 255, 256, 257, 300, 384, 512])
     def test_matches_roll_reference(self, order, dtype):
         rng = np.random.default_rng(order)
         matrix = rng.integers(0, np.iinfo(dtype).max, size=(order, order), dtype=dtype, endpoint=True)
@@ -182,12 +184,16 @@ class TestPhase3:
 
     @pytest.mark.parametrize("view", ["transposed", "reversed rows", "strided rows"])
     def test_any_layout_matches_roll_reference(self, view):
-        # row strides of 1 and -512 bytes take the whole copy, 512 the banded one
-        wide = np.random.default_rng(5).integers(0, 256, size=(256, 512), dtype=np.uint8)
-        views = {"transposed": wide[:, :256].T, "reversed rows": wide[::-1, :256], "strided rows": wide[:, ::2]}
-        matrix = views[view]
-        for shift in (0, 1, 40000):
-            assert np.array_equal(transpose_rotate(matrix, shift), roll_reference(matrix, shift)), shift
+        # at order 256 row strides of 1 and -512 bytes take the whole copy, 512 the banded
+        # one; at order 16 every view takes the cached index, through a row-major copy
+        for order in (256, 16):
+            wide = np.random.default_rng(5).integers(0, 256, size=(order, 2 * order), dtype=np.uint8)
+            views = {"transposed": wide[:, :order].T, "reversed rows": wide[::-1, :order],
+                     "strided rows": wide[:, ::2]}
+            matrix = views[view]
+            assert not matrix.flags.c_contiguous
+            for shift in (0, 1, 40000):
+                assert np.array_equal(transpose_rotate(matrix, shift), roll_reference(matrix, shift)), (order, shift)
 
     def test_2x2_rotate_by_one(self):
         matrix = np.array([[1, 2], [3, 4]])
@@ -290,6 +296,22 @@ class TestOracleEquivalence:
             eng = Engine(GeneratorConfig(square, mode, OutputMap.SYMBOLS))
             got = [eng.next_block().tolist() for _ in range(3)]
             assert got == oracle_blocks(square.rows(), shift, 3)
+
+    @pytest.mark.parametrize("mode", ["const", "var"])
+    def test_engines_of_neighbouring_orders_stepped_in_turn(self, mode):
+        # phase 3 caches one index per order (up to 48, the last order that takes it);
+        # engines of orders 16 and 17, and 48 and 49, stepped in turn must not share one
+        orders = (16, 17, 48, 49)
+        shifts = {n: ("const", 3 * n + 1) if mode == "const" else ("var", n, 2) for n in orders}
+        squares = {n: random_latin_square(n, seed=n) for n in orders}
+        engines = {n: Engine(GeneratorConfig(squares[n], ConstantShift(shifts[n][1]) if mode == "const"
+                                             else VariableShift(*shifts[n][1:]))) for n in orders}
+        got = {n: [] for n in orders}
+        for _ in range(3):
+            for n in orders:
+                got[n].append((engines[n].next_block().astype(np.int64) + 1).tolist())
+        for n in orders:
+            assert got[n] == oracle_blocks(squares[n].rows(), shifts[n], 3), n
 
     # Phase 1's flat index n * cell + successor tops out at n*n - 1, so its
     # dtype is uint8 up to order 16, uint16 from 17 to 256 and uint32 from 257.
