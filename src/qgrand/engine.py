@@ -30,9 +30,9 @@ from .latin import LatinSquare
 
 _GATHER = 1 << 15  # indices per take in phase 1; slices of 2**14 cost gen ~11%, 2**15 nothing
 # phase 3 of a matrix with at most this many cells is one take through a cached index; uint8,
-# us per call at orders 16/32/48/52/56/64/128/255, the take against the transposed copy plus
-# concatenate: 1.26/1.86/2.85/3.27/3.59/4.01/13.2/49.4 against 2.21/2.59/3.14/3.39/3.51/3.61/8.09/26.8
-_PHASE3_TAKE = 48 * 48
+# us per call (the least of 40 interleaved rounds) at orders 16/32/40/48/64/128, the take against
+# the transposed copy plus concatenate: 1.68/2.38/2.98/3.86/5.77/19.0 against 2.45/2.86/3.12/3.41/4.10/9.14
+_PHASE3_TAKE = 40 * 40
 _min_dtype = functools.lru_cache(maxsize=None)(np.min_scalar_type)  # ~0.1 us a call, uncached 0.4
 
 
@@ -120,7 +120,7 @@ def transpose_rotate(matrix: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((flat[cut:], flat[:cut])).reshape(matrix.shape)  # np.roll's axis handling costs more
 
 
-@functools.lru_cache(maxsize=64)  # at most 64 x 36 KiB
+@functools.lru_cache(maxsize=64)  # at most 64 x 25 KiB
 def _transposed_twice(shape: tuple) -> np.ndarray:
     """A `shape` matrix's flat cells in transposed order, twice, so each rotation is one slice."""
     order = np.arange(shape[0] * shape[1]).reshape(shape).T.ravel()
@@ -133,8 +133,8 @@ class Engine:
     """Mutable generator state: the seed square plus one working matrix.
 
     Persistent state is exactly two n x n grids (the square's lookup table
-    and `gen_matrix`) and scalar bookkeeping; up to order 48 all engines also
-    share a cached phase-3 index per order (36 KiB at 48).  Single-owner:
+    and `gen_matrix`) and scalar bookkeeping; up to order 40 all engines also
+    share a cached phase-3 index per order (25 KiB at 40).  Single-owner:
     calls on one engine must not overlap; distinct engines are independent.
     """
 
